@@ -12,112 +12,101 @@ depths > 1) the bundles of upstream tasks within DSD-1 hops — piggybacks on
 the buffer.  The receiver merges deltas into its *causal store* by epoch and
 index, which makes merging idempotent: replayed/duplicated deltas are
 harmless, the store simply keeps the longest prefix per epoch.
+
+Representation (DESIGN.md §7, addendum).  Per (log, epoch) a
+:class:`_Segment` holds the entries, a packed ``bytearray`` of their 4-byte
+fingerprints, the running wire-byte total and the rolling CRC, all maintained
+at append/merge time.  A delta slice is a **reference, not a copy**:
+``(task, log, epoch, base, end, entries, fps, end_bytes)`` names indices
+``[base, end)`` of the *sender's own* append-only ``entries``/``fps``.  The
+receiver's already-held test is ``end <= len(stored)``; a fresh merge is one
+list extend, one ``bytearray +=`` and one streaming ``crc32`` over the fresh
+fingerprint bytes — O(1) Python work per slice.  The rule this imposes: out-
+of-band damage (``repro.integrity.corruption``) swaps in a damaged *copy* of
+a segment and never mutates lists a slice on the wire may still read.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterable, List, Optional, Tuple
+from zlib import crc32
 
 from repro.core.determinants import Determinant
 from repro.errors import DeterminantLogError, IntegrityError
-from repro.integrity.fingerprint import combine, fingerprint
+from repro.integrity.fingerprint import combine_all, fingerprint
 
 MAIN = "main"
 
 #: Rolling-CRC seed for an empty epoch (any fixed nonzero constant works).
 _CRC_SEED = 0x1EDC6F41
 
-#: Shared empty-entries sentinel (never mutated; avoids allocating an empty
-#: list on every miss in the delta assembly hot loop).
+#: Shared empty-entries sentinel (never mutated).
 _NO_ENTRIES: List["Determinant"] = []
-
-
-def _det_fp(det: Determinant) -> int:
-    """Content fingerprint of a determinant, memoised on the object.
-
-    Safe because determinants are immutable once appended and deltas forward
-    them *by reference*: origin and every replica fold the identical object,
-    so one computation serves them all.  Out-of-band tampering (the chaos
-    engine) clears the memo on the object it mutates, and :meth:`EpochLog.
-    verify` always recomputes from scratch, so detection is unaffected.
-    """
-    fp = getattr(det, "_fp_memo", None)
-    if fp is None:
-        fp = fingerprint(det)
-        det._fp_memo = fp
-    return fp
 
 
 def queue_log_name(channel_index: int) -> str:
     return f"queue:{channel_index}"
 
 
-class EpochLog:
-    """An append-only determinant log segmented by checkpoint epoch.
+class _Segment:
+    """One epoch of one log.  ``fps`` packs ``fingerprint(entry)``, four
+    big-endian bytes each; ``crc`` is the rolling ``crc32`` over ``fps`` (which
+    :meth:`EpochLog.verify` recomputes from the entries); ``nbytes`` is the
+    entries' total wire size."""
 
-    Wire sizes are tracked incrementally (`bytes_held`) so the memory
-    experiments of Section 7.5 can sample determinant-pool usage cheaply.
-    """
+    __slots__ = ("entries", "fps", "nbytes", "crc")
+
+    def __init__(
+        self, entries: List[Determinant], fps: bytearray, nbytes: int, crc: int
+    ):
+        self.entries = entries
+        self.fps = fps
+        self.nbytes = nbytes
+        self.crc = crc
+
+
+class EpochLog:
+    """An append-only determinant log segmented by checkpoint epoch; wire
+    sizes are tracked incrementally (``bytes_held``) for the memory experiments
+    of Section 7.5."""
 
     def __init__(self):
-        self._epochs: Dict[int, List[Determinant]] = {}
+        self._epochs: Dict[int, _Segment] = {}
         self.bytes_held = 0
-        #: Monotone change counter: bumped whenever an entry is added (by
-        #: append or merge).  Dispatch cursors use it to skip whole logs that
-        #: have not changed since a channel's last delta, which is the common
-        #: case once determinant sharing fans bundles out.
-        self.version = 0
-        #: Rolling per-epoch content fingerprint, maintained incrementally
-        #: by every API-mediated append/merge.  Out-of-band mutation (the
-        #: chaos engine's determinant truncation) leaves it stale, which is
-        #: exactly what :meth:`verify` detects.
-        self._crcs: Dict[int, int] = {}
-        #: Cumulative wire-byte prefix per epoch (``_cum[e][i]`` = bytes of
-        #: ``entries[0..i]``), recorded at append/merge time — determinants
-        #: are serialized into the log exactly once, so the append-time size
-        #: is the size every later delta ships.  Lets delta assembly price a
-        #: slice in O(1) instead of re-walking every determinant.
-        self._cum: Dict[int, List[int]] = {}
         self._sorted_epochs: Optional[List[int]] = None
-        #: Per-output-channel dispatch state, owned by the CausalLogManager
-        #: holding this log: channel -> ``[version at last delta,
-        #: {epoch: entries sent}]``.  Logs are never shared between managers
-        #: (merges copy into private lists), so keeping the cursor on the log
-        #: replaces the tuple-keyed global cursor dict the delta hot loop
-        #: used to hash into.
-        self._chan: Dict[int, List[Any]] = {}
+
+    def _segment(self, epoch: int) -> _Segment:
+        seg = self._epochs.get(epoch)
+        if seg is None:
+            seg = self._epochs[epoch] = _Segment([], bytearray(), 0, _CRC_SEED)
+            self._sorted_epochs = None
+        return seg
 
     def append(self, epoch: int, determinant: Determinant) -> int:
         """Append and return the entry's index within its epoch."""
-        entries = self._epochs.get(epoch)
-        if entries is None:
-            entries = self._epochs[epoch] = []
-            self._cum[epoch] = []
-            self._sorted_epochs = None
+        seg = self._segment(epoch)
+        fp = fingerprint(determinant).to_bytes(4, "big")
         size = determinant.wire_size()
-        cum = self._cum[epoch]
-        cum.append((cum[-1] if cum else 0) + size)
-        entries.append(determinant)
-        self.version += 1
+        seg.entries.append(determinant)
+        seg.fps += fp
+        seg.crc = crc32(fp, seg.crc)
+        seg.nbytes += size
         self.bytes_held += size
-        self._crcs[epoch] = combine(
-            self._crcs.get(epoch, _CRC_SEED), _det_fp(determinant)
-        )
-        return len(entries) - 1
+        return len(seg.entries) - 1
 
     def entries(self, epoch: int) -> List[Determinant]:
         """Entries of ``epoch`` — possibly a shared empty list; callers must
         treat the result as read-only."""
-        found = self._epochs.get(epoch)
-        return found if found is not None else _NO_ENTRIES
+        seg = self._epochs.get(epoch)
+        return seg.entries if seg is not None else _NO_ENTRIES
 
-    def slice_bytes(self, epoch: int, start: int, end: int) -> int:
-        """Wire bytes of ``entries(epoch)[start:end]`` in O(1), from the
-        append-time prefix sums."""
-        if start >= end:
-            return 0
-        cum = self._cum[epoch]
-        return cum[end - 1] - (cum[start - 1] if start else 0)
+    def slice_of(
+        self, epoch: int, base: int = 0
+    ) -> Tuple[int, int, int, List[Determinant], bytearray, int]:
+        """Everything ``epoch`` holds from ``base`` on, by reference."""
+        seg = self._epochs[epoch]
+        return (epoch, base, len(seg.entries), seg.entries, seg.fps, seg.nbytes)
 
     def epochs(self) -> List[int]:
         """Epochs in ascending order.  The returned list is a cached view —
@@ -128,77 +117,62 @@ class EpochLog:
         return cached
 
     def length(self, epoch: int) -> int:
-        return len(self._epochs.get(epoch, ()))
+        return len(self.entries(epoch))
 
     def truncate_before(self, epoch: int) -> int:
         """Drop epochs earlier than ``epoch`` (checkpoint complete)."""
-        stale = [e for e in self._epochs if e < epoch]
-        dropped = sum(len(self._epochs[e]) for e in stale)
-        for e in stale:
-            cum = self._cum.pop(e, None)
-            if cum:
-                self.bytes_held -= cum[-1]
-            else:
-                self.bytes_held -= sum(d.wire_size() for d in self._epochs[e])
-            del self._epochs[e]
-            self._crcs.pop(e, None)
-        if stale:
+        dropped = 0
+        for e in [e for e in self._epochs if e < epoch]:
+            seg = self._epochs.pop(e)
+            dropped += len(seg.entries)
+            self.bytes_held -= seg.nbytes
             self._sorted_epochs = None
         return dropped
 
-    def merge_slice(self, epoch: int, base_index: int, entries: List[Determinant]) -> None:
-        """Idempotent merge of a delta slice: extend the epoch's entries with
-        whatever part of ``entries`` lies beyond what we already hold."""
-        stored = self._epochs.get(epoch)
-        if stored is None:
-            stored = self._epochs[epoch] = []
-            self._cum[epoch] = []
-            self._sorted_epochs = None
-        have = len(stored)
-        if base_index > have:
+    def merge_slice(
+        self,
+        epoch: int,
+        base: int,
+        end: int,
+        entries: List[Determinant],
+        fps: bytearray,
+        end_bytes: int,
+    ) -> None:
+        """Idempotent merge of a by-reference slice: extend the epoch with
+        whatever part of ``[base, end)`` lies beyond what we already hold,
+        folding into the rolling CRC exactly the fingerprints stored here."""
+        seg = self._segment(epoch)
+        have = len(seg.entries)
+        if base > have:
             raise DeterminantLogError(
                 f"delta gap: have {have} entries of epoch {epoch}, "
-                f"delta starts at {base_index}"
+                f"delta starts at {base}"
             )
-        new_from = have - base_index
-        if new_from < len(entries):
-            fresh = entries[new_from:]
-            stored.extend(fresh)
-            self.version += 1
-            cum = self._cum.setdefault(epoch, [])
-            before = total = cum[-1] if cum else 0
-            crc = self._crcs.get(epoch, _CRC_SEED)
-            for det in fresh:
-                total += det.wire_size()
-                cum.append(total)
-                crc = combine(crc, _det_fp(det))
-            self._crcs[epoch] = crc
-            self.bytes_held += total - before
+        if have < end:
+            fresh = fps[4 * have : 4 * end]
+            seg.entries += entries[have:end]
+            seg.fps += fresh
+            seg.crc = crc32(fresh, seg.crc)
+            self.bytes_held += end_bytes - seg.nbytes
+            seg.nbytes = end_bytes
 
     def verify(self, name: str = "") -> None:
         """Raise :class:`IntegrityError` if any epoch's entries no longer
-        match its rolling fingerprint.  Epochs without a recorded CRC (e.g.
-        a transient recovery bundle assembled by :func:`merge_bundles`) are
-        skipped — they were never sealed."""
-        for epoch, expected in self._crcs.items():
-            crc = _CRC_SEED
-            for det in self._epochs.get(epoch, ()):
-                crc = combine(crc, fingerprint(det))
-            if crc != expected:
+        match its rolling fingerprint (recomputed from the entries)."""
+        for epoch, seg in self._epochs.items():
+            crc = combine_all(_CRC_SEED, [fingerprint(det) for det in seg.entries])
+            if crc != seg.crc:
                 raise IntegrityError(
                     "determinant-log",
                     f"{name}@epoch{epoch}",
-                    expected=expected,
+                    expected=seg.crc,
                     actual=crc,
                 )
 
     def size_bytes(self) -> int:
         return sum(
-            det.wire_size() for entries in self._epochs.values() for det in entries
+            det.wire_size() for seg in self._epochs.values() for det in seg.entries
         )
-
-    def total_entries(self) -> int:
-        return sum(len(entries) for entries in self._epochs.values())
 
 
 class LogBundle:
@@ -225,9 +199,6 @@ class LogBundle:
     def size_bytes(self) -> int:
         return sum(log.size_bytes() for log in self.logs.values())
 
-    def total_entries(self) -> int:
-        return sum(log.total_entries() for log in self.logs.values())
-
 
 def merge_bundles(bundles: List[LogBundle]) -> LogBundle:
     """Merge determinant bundles retrieved from several downstream holders:
@@ -237,24 +208,26 @@ def merge_bundles(bundles: List[LogBundle]) -> LogBundle:
     for bundle in bundles:
         for name, log in bundle.logs.items():
             target = merged.log(name)
-            for epoch in log.epochs():
-                if log.length(epoch) > target.length(epoch):
-                    target._epochs[epoch] = list(log.entries(epoch))
-                    target._cum[epoch] = list(log._cum.get(epoch, ()))
+            for epoch, seg in log._epochs.items():
+                if len(seg.entries) > target.length(epoch):
+                    target._epochs[epoch] = _Segment(
+                        list(seg.entries), bytearray(seg.fps), seg.nbytes, seg.crc
+                    )
                     target._sorted_epochs = None
-                    target.version += 1
     return merged
 
 
-#: One delta slice: (task_id, log_name, epoch, base_index, entries).
-DeltaSlice = Tuple[str, str, int, int, List[Determinant]]
+#: One delta slice: (task_id, log_name, epoch, base, end, entries, fps,
+#: end_bytes) — see the module docstring.
+DeltaSlice = Tuple[str, str, int, int, int, List[Determinant], bytearray, int]
 
 
 def delta_wire_size(slices: List[DeltaSlice]) -> int:
-    """Serialized size of a delta: per-slice header + determinant bytes."""
+    """Serialized size of a delta: per-slice header + determinant bytes,
+    recounted entry by entry (what ``delta_for_dispatch`` reports in O(1))."""
     total = 0
-    for _task, _log, _epoch, _base, entries in slices:
-        total += 12 + sum(det.wire_size() for det in entries)
+    for _task, _log, _epoch, base, end, entries, _fps, _end_bytes in slices:
+        total += 12 + sum(det.wire_size() for det in entries[base:end])
     return total
 
 
@@ -274,18 +247,27 @@ class CausalLogManager:
         self.dsd = dsd  # None = full
         self.bundle = LogBundle(num_output_channels)
         self.current_epoch = 0
+        #: Dispatch cursors into the own bundle: channel -> ``{(log name,
+        #: epoch): (entries sent, their wire bytes)}``.
+        self._sent: Dict[int, Dict[Tuple[str, int], Tuple[int, int]]] = {}
         #: causal store: upstream task_id -> (distance, LogBundle)
         self.store: Dict[str, Tuple[int, LogBundle]] = {}
-        #: cached _shareable_bundles result; invalidated when the store
-        #: gains a task or a distance improves (both rare after warm-up).
-        self._share_cache: Optional[List[Tuple[str, int, LogBundle]]] = None
+        #: Forwarding journal: one ``(task_id, log_name, log, epoch, have,
+        #: have_bytes)`` — what the log held *before* — per merge that grew a
+        #: store log we share onward.  A channel owes its receiver
+        #: ``_journal[_journal_pos[ch]:]``: per segment the first chunk gives
+        #: the slice base, the segment itself the end.  A live epoch's chunks
+        #: start at ``have == 0``, so position 0 re-carries the whole store.
+        self._journal: List[Tuple[str, str, EpochLog, int, int, int]] = []
+        self._journal_pos: Dict[int, int] = {}
+        #: Last forwarded assembly ``(from_pos, to_pos, slices, nbytes)``:
+        #: sibling channels whose positions coincide owe the same slices.
+        self._forwarded: Optional[Tuple[int, int, List[DeltaSlice], int]] = None
         #: total determinant bytes shipped (for the memory/overhead metrics).
         self.delta_bytes_sent = 0
-        #: epochs below this are truncated (checkpoint complete); late deltas
-        #: for them are obsolete and ignored.
+        #: epochs below this are truncated; late deltas for them are ignored.
         self.truncated_before = 0
-        #: High-water mark of determinant bytes held (the determinant buffer
-        #: pool sizing question of Section 7.5).
+        #: High-water mark of determinant bytes held (Section 7.5 pool sizing).
         self.peak_bytes_held = 0
 
     @property
@@ -306,55 +288,66 @@ class CausalLogManager:
 
     # -- deltas ------------------------------------------------------------------
 
-    def _shareable_bundles(self) -> List[Tuple[str, int, LogBundle]]:
-        """Bundles to piggyback: own (distance 0) + stored ones with
-        distance < dsd - 1 ... i.e. whose *receiver* distance stays <= dsd."""
-        cached = self._share_cache
-        if cached is not None:
-            return cached
-        bundles: List[Tuple[str, int, LogBundle]] = [(self.task_id, 0, self.bundle)]
-        for task_id, (distance, bundle) in self.store.items():
-            limit = self.dsd if self.dsd is not None else None
-            # The receiver would hold this bundle at distance + 2 hops from
-            # its origin... origin -> us is (distance+1) hops; forwarding adds
-            # one more. Forward only if the origin's determinants are still
-            # within the sharing depth at the receiver.
-            if limit is None or distance + 2 <= limit:
-                bundles.append((task_id, distance, bundle))
-        self._share_cache = bundles
-        return bundles
+    def _forwards(self, distance: int) -> bool:
+        """Whether a stored bundle held at ``distance`` travels on: origin ->
+        us is ``distance + 1`` hops and forwarding adds one more, which must
+        stay within the sharing depth at the receiver."""
+        return self.dsd is None or distance + 2 <= self.dsd
 
     def delta_for_dispatch(self, channel_index: int) -> Tuple[List[DeltaSlice], int]:
         """Collect everything channel ``channel_index`` has not carried yet."""
         if not self.enabled:
             return [], 0
         slices: List[DeltaSlice] = []
-        append = slices.append
         nbytes = 0
-        for task_id, _distance, bundle in self._shareable_bundles():
-            for log_name, log in bundle.logs.items():
-                version = log.version
-                chan = log._chan
-                state = chan.get(channel_index)
-                if state is None:
-                    # version starts at 0 and only grows, so -1 forces the
-                    # first walk.
-                    state = chan[channel_index] = [-1, {}]
-                elif state[0] == version:
-                    # Unchanged since this channel's last delta: the log
-                    # gained no entries, skip the per-epoch cursor walk.
-                    continue
-                sent_by_epoch = state[1]
-                for epoch in log.epochs():
-                    entries = log._epochs[epoch]
-                    count = len(entries)
-                    sent = sent_by_epoch.get(epoch, 0)
-                    if sent < count:
-                        append((task_id, log_name, epoch, sent, entries[sent:]))
-                        sent_by_epoch[epoch] = count
-                        nbytes += 12 + log.slice_bytes(epoch, sent, count)
-                state[0] = version
+        task_id = self.task_id
+        cursors = self._sent.setdefault(channel_index, {})
+        for log_name, log in self.bundle.logs.items():
+            for epoch in log.epochs():
+                seg = log._epochs[epoch]
+                count = len(seg.entries)
+                sent, sent_bytes = cursors.get((log_name, epoch), (0, 0))
+                if sent < count:
+                    total = seg.nbytes
+                    slices.append(
+                        (task_id, log_name, epoch, sent, count, seg.entries, seg.fps, total)
+                    )
+                    cursors[log_name, epoch] = (count, total)
+                    nbytes += 12 + total - sent_bytes
+        forwarded, forwarded_bytes = self._forwarded_since(
+            self._journal_pos.get(channel_index, 0)
+        )
+        self._journal_pos[channel_index] = len(self._journal)
+        slices += forwarded
+        nbytes += forwarded_bytes
         self.delta_bytes_sent += nbytes
+        return slices, nbytes
+
+    def _forwarded_since(self, pos: int) -> Tuple[List[DeltaSlice], int]:
+        """One slice (plus wire bytes) per store segment grown since ``pos``."""
+        journal = self._journal
+        end_pos = len(journal)
+        if pos == end_pos:
+            return [], 0
+        cached = self._forwarded
+        if cached is not None and cached[0] == pos and cached[1] == end_pos:
+            return cached[2], cached[3]
+        slices: List[DeltaSlice] = []
+        nbytes = 0
+        seen = set()
+        for task_id, log_name, log, epoch, have, have_bytes in journal[pos:]:
+            seg = log._epochs.get(epoch)
+            if seg is None or seg in seen:
+                continue
+            seen.add(seg)
+            count = len(seg.entries)
+            if have < count:
+                total = seg.nbytes
+                slices.append(
+                    (task_id, log_name, epoch, have, count, seg.entries, seg.fps, total)
+                )
+                nbytes += 12 + total - have_bytes
+        self._forwarded = (pos, end_pos, slices, nbytes)
         return slices, nbytes
 
     def merge_delta(self, slices: Iterable[DeltaSlice], sender_task_id: str) -> None:
@@ -362,14 +355,12 @@ class CausalLogManager:
         buffer's records are processed (the always-no-orphans discipline)."""
         store = self.store
         truncated_before = self.truncated_before
-        # Slices of one delta arrive grouped by origin task and log (the
-        # dispatch loop iterates bundle by bundle, log by log), so caching
-        # the last-resolved bundle/log saves the lookups per slice.
+        journal = self._journal
+        # Slices arrive grouped by origin task: cache the resolved bundle.
         last_task: Optional[str] = None
         last_bundle: Optional[LogBundle] = None
-        last_log_name: Optional[str] = None
-        last_log: Optional[EpochLog] = None
-        for task_id, log_name, epoch, base_index, entries in slices:
+        forwards = False
+        for task_id, log_name, epoch, base, end, entries, fps, end_bytes in slices:
             if epoch < truncated_before:
                 # The checkpoint-complete RPC raced ahead of this delta: the
                 # epoch is already stable, its determinants are obsolete.
@@ -380,46 +371,44 @@ class CausalLogManager:
                     distance = 0 if task_id == sender_task_id else 1
                     last_bundle = LogBundle()
                     store[task_id] = (distance, last_bundle)
-                    self._share_cache = None
+                    forwards = self._forwards(distance)
                 else:
                     # Keep the shortest observed distance.
                     old_distance, last_bundle = prior
                     distance = 0 if task_id == sender_task_id else old_distance
+                    forwards = self._forwards(distance)
                     if distance < old_distance:
                         store[task_id] = (distance, last_bundle)
-                        self._share_cache = None
+                        if forwards and not self._forwards(old_distance):
+                            # Newly within the sharing depth: every channel
+                            # owes its receiver the whole bundle.
+                            journal.extend(
+                                (task_id, name, log, e, 0, 0)
+                                for name, log in last_bundle.logs.items()
+                                for e in log.epochs()
+                            )
                 last_task = task_id
-                last_log_name = None
-            if log_name != last_log_name:
-                last_log = last_bundle.log(log_name)
-                last_log_name = log_name
-            # Fully-redundant fast path: several upstream channels forward
-            # the same origin slices, so most arrive already held.  This is
-            # exactly merge_slice's no-op condition, checked without the
-            # call.
-            stored = last_log._epochs.get(epoch)
-            if stored is not None and base_index + len(entries) <= len(stored):
-                continue
+            log = last_bundle.logs.get(log_name) or last_bundle.log(log_name)
+            # Already-held fast path: several upstream channels forward the
+            # same origin slices, so most arrive fully redundant.  This is
+            # merge_slice's no-op condition, checked without the call.
+            seg = log._epochs.get(epoch)
+            if seg is None:
+                have = have_bytes = 0
+            else:
+                have = len(seg.entries)
+                if end <= have:
+                    continue
+                have_bytes = seg.nbytes
             try:
-                last_log.merge_slice(epoch, base_index, entries)
+                log.merge_slice(epoch, base, end, entries, fps, end_bytes)
             except DeterminantLogError as exc:
                 raise DeterminantLogError(
                     f"{self.task_id}: merging delta of task={task_id} "
                     f"log={log_name} from sender={sender_task_id}: {exc}"
                 ) from exc
-
-    def store_distance_fixup(self, sender_task_id: str) -> None:
-        """Record that ``sender_task_id`` is a direct upstream (distance 0)."""
-        if sender_task_id in self.store:
-            _d, bundle = self.store[sender_task_id]
-            self.store[sender_task_id] = (0, bundle)
-            self._share_cache = None
-
-    def _all_logs(self) -> Iterable[EpochLog]:
-        """Every log this manager holds: own bundle + causal store."""
-        yield from self.bundle.logs.values()
-        for _distance, bundle in self.store.values():
-            yield from bundle.logs.values()
+            if forwards:
+                journal.append((task_id, log_name, log, epoch, have, have_bytes))
 
     # -- recovery support -----------------------------------------------------------
 
@@ -431,8 +420,8 @@ class CausalLogManager:
         """A downstream task reconnected after recovery: its causal store may
         be empty, so the next buffers on this channel must re-carry the full
         log.  Receivers merge by index, so over-sending is idempotent."""
-        for log in self._all_logs():
-            log._chan.pop(channel_index, None)
+        self._sent.pop(channel_index, None)
+        self._journal_pos.pop(channel_index, None)
 
     # -- epoch lifecycle ---------------------------------------------------------------
 
@@ -448,11 +437,18 @@ class CausalLogManager:
         dropped = self.bundle.truncate_before(checkpoint_id)
         for _task_id, (_distance, bundle) in self.store.items():
             dropped += bundle.truncate_before(checkpoint_id)
-        for log in self._all_logs():
-            for state in log._chan.values():
-                sent_by_epoch = state[1]
-                for e in [e for e in sent_by_epoch if e < checkpoint_id]:
-                    del sent_by_epoch[e]
+        for cursors in self._sent.values():
+            for key in [key for key in cursors if key[1] < checkpoint_id]:
+                del cursors[key]
+        # Drop the truncated epochs' chunks; a channel's position becomes the
+        # number of surviving chunks that were before it.
+        journal = self._journal
+        kept = [i for i, chunk in enumerate(journal) if chunk[3] >= checkpoint_id]
+        if len(kept) < len(journal):
+            self._journal = [journal[i] for i in kept]
+            for channel, pos in self._journal_pos.items():
+                self._journal_pos[channel] = bisect_left(kept, pos)
+            self._forwarded = None
         return dropped
 
     def size_bytes(self) -> int:

@@ -15,18 +15,11 @@ from repro.net.serialization import payload_size
 
 
 class Determinant:
-    """Base determinant.
+    """Base determinant.  Immutable once appended to a log: deltas forward
+    determinants by reference and a log fingerprints each entry exactly once,
+    at its origin (``repro.core.causal_log``)."""
 
-    ``_fp_memo`` caches the determinant's content fingerprint: the same
-    determinant object is folded into a rolling log CRC once at its origin
-    and once more at every replica that stores it (deltas forward
-    determinants by reference), so the digest is computed once and reused.
-    The slot is declared in ``repro.integrity.fingerprint.MEMO_SLOTS``:
-    the fingerprint walk, ``__repr__``/``__eq__``/``__hash__`` (which use the
-    subclass's own ``__slots__``), and corruption injection all ignore it.
-    """
-
-    __slots__ = ("_fp_memo",)
+    __slots__ = ()
 
     kind = "base"
 

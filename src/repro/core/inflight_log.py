@@ -24,7 +24,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.config import CostModel, SpillPolicy
 from repro.errors import IntegrityError, RecoveryError
-from repro.integrity.fingerprint import combine, fingerprint
+from repro.integrity.fingerprint import combine_all, fingerprint
 from repro.integrity.monitor import IntegrityMonitor
 from repro.net.buffer import BufferPool, NetworkBuffer
 from repro.net.link import NetworkLink
@@ -38,10 +38,10 @@ def buffer_fingerprint(buffer: NetworkBuffer) -> int:
     element sequence, so a dropped, duplicated, reordered, or value-mutated
     element changes the digest.  Elements are digested through their reprs
     (C-speed) because this runs on every logged buffer."""
-    crc = fingerprint((buffer.channel_id, buffer.seq, buffer.epoch))
-    for element in buffer.elements:
-        crc = combine(crc, zlib.crc32(repr(element).encode()) & 0xFFFFFFFF)
-    return crc
+    return combine_all(
+        fingerprint((buffer.channel_id, buffer.seq, buffer.epoch)),
+        [zlib.crc32(repr(element).encode()) for element in buffer.elements],
+    )
 
 
 class LogEntry:

@@ -118,10 +118,7 @@ class ExactlyOnceKafkaSink(Operator):
             ext = self.log.sink_bundles[ctx.task_name] = LogBundle()
         dst = ext.log(MAIN)
         for epoch in src.epochs():
-            have = dst.length(epoch)
-            entries = src.entries(epoch)
-            if have < len(entries):
-                dst.merge_slice(epoch, have, entries[have:])
+            dst.merge_slice(*src.slice_of(epoch))
 
     @property
     def output_is_externalized(self) -> bool:

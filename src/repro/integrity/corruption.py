@@ -8,9 +8,10 @@ integrity soak proves the layer prevents.
 
 Corruption is copy-on-corrupt where artifacts are shared by reference: the
 checkpoint store and a standby hold the *same* snapshot object (the
-dispatch of ``_complete_checkpoint``), and a real blob corruption damages
-one replica, not both — so helpers tamper a deep copy and swap it in at the
-targeted location only.
+dispatch of ``_complete_checkpoint``), a logged buffer is the object riding
+the link, and a causal-log delta slice points at the holder's own entry
+lists.  A real blob corruption damages one replica, not both — so helpers
+tamper a copy and swap it in at the targeted location only.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import copy
 import random
 from typing import Optional
+
+from repro.integrity.fingerprint import _all_slots
 
 __all__ = [
     "corrupt_checkpoint",
@@ -153,7 +156,7 @@ def truncate_determinant_log(
 ) -> Optional[str]:
     """Damage the determinant-log replica some downstream holder keeps for
     ``victim_name``: truncate the tail of a *sealed* epoch, or — when every
-    held epoch is still open — silently corrupt its last entry in place.
+    held epoch is still open — silently corrupt its last entry.
 
     Only sealed epochs (below the log's newest) are truncated: the open
     epoch still receives piggybacked deltas, and a contiguity gap there
@@ -177,36 +180,43 @@ def truncate_determinant_log(
             epochs = log.epochs()
             newest = max(epochs) if epochs else None
             for epoch in epochs:
-                if log.length(epoch) > 0 and epoch in log._crcs:
+                if log.length(epoch) > 0:
                     bucket = sealed if epoch < newest else open_epochs
                     bucket.append((holder.name, log_name, log, epoch))
     if sealed:
         holder_name, log_name, log, epoch = rng.choice(sealed)
         drop = rng.randrange(1, log.length(epoch) + 1)
-        del log._epochs[epoch][-drop:]
+        _swap_in_segment(log, epoch, log.entries(epoch)[:-drop])
         return f"{holder_name}:{log_name}@epoch{epoch}:-{drop}"
     if open_epochs:
         holder_name, log_name, log, epoch = rng.choice(open_epochs)
-        entries = log._epochs[epoch]
-        entries[-1] = _tamper_determinant(entries[-1])
+        entries = log.entries(epoch)
+        _swap_in_segment(log, epoch, entries[:-1] + [_tamper_determinant(entries[-1])])
         return f"{holder_name}:{log_name}@epoch{epoch}:entry-corrupt"
     return None
 
 
+def _swap_in_segment(log, epoch: int, entries) -> None:
+    """Replace one epoch of ``log`` with a damaged copy: ``entries`` logged
+    afresh (their fingerprints follow the content, exactly as if the log had
+    been written this way, so a replica fed from this holder seals what it is
+    given) under the old byte total and the old, now stale, rolling CRC.
+    Delta slices share the holder's lists by reference, so — per this
+    module's copy-on-corrupt rule — the damage must never be done in place: a
+    disk flip cannot rewrite a delta that already left on the wire."""
+    intact = log._epochs[epoch]
+    rewritten = type(log)()
+    damaged = rewritten._segment(epoch)
+    for det in entries:
+        rewritten.append(epoch, det)
+    damaged.nbytes, damaged.crc = intact.nbytes, intact.crc
+    log._epochs[epoch] = damaged
+
+
 def _tamper_determinant(det):
     """A tampered deep copy: the original object is shared with other
-    replicas (deltas forward determinants by reference), so only the chosen
-    holder's list slot is replaced."""
-    from repro.integrity.fingerprint import _all_slots
-
+    replicas (deltas forward determinants by reference)."""
     clone = copy.deepcopy(det)
-    # The clone's content is about to change: drop any memoised fingerprint
-    # (deepcopy carries it over) so every later digest reflects the tampered
-    # content, exactly as if the determinant had been built this way.
-    try:
-        del clone._fp_memo
-    except AttributeError:
-        pass
     for slot in _all_slots(type(clone)):
         value = getattr(clone, slot, None)
         if isinstance(value, int) and not isinstance(value, bool):

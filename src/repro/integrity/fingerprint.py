@@ -18,10 +18,11 @@ content.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from collections import deque
 
-__all__ = ["fingerprint", "combine"]
+__all__ = ["fingerprint", "combine", "combine_all"]
 
 
 def _crc(data: bytes, crc: int = 0) -> int:
@@ -31,6 +32,12 @@ def _crc(data: bytes, crc: int = 0) -> int:
 def combine(crc: int, part: int) -> int:
     """Fold one 32-bit part into a rolling fingerprint (order-sensitive)."""
     return _crc(part.to_bytes(4, "big"), crc)
+
+
+def combine_all(crc: int, parts) -> int:
+    """``combine`` folded over the sequence ``parts`` in one ``crc32`` call
+    (the CRC streams, so packing the parts first gives the same value)."""
+    return zlib.crc32(struct.pack(">%dI" % len(parts), *parts), crc)
 
 
 def _scalar_bytes(value):
@@ -64,12 +71,6 @@ def _scalar_bytes(value):
 _slots_cache: dict = {}
 _sorted_slots_cache: dict = {}
 
-#: Slots that hold memoised digests, not content.  They are invisible to the
-#: fingerprint walk (a fingerprint must not depend on whether it was already
-#: computed) and to corruption injection (tampering a cache is not tampering
-#: the artifact).
-MEMO_SLOTS = frozenset({"_fp_memo"})
-
 
 def _all_slots(cls) -> list:
     """Content slot names of ``cls`` in MRO declaration order (cached).
@@ -86,7 +87,7 @@ def _all_slots(cls) -> list:
         slots = klass.__dict__.get("__slots__", ())
         if isinstance(slots, str):
             slots = (slots,)
-        names.extend(s for s in slots if s not in MEMO_SLOTS)
+        names.extend(slots)
     _slots_cache[cls] = names
     return names
 
@@ -100,8 +101,9 @@ def _sorted_slots(cls) -> list:
 
 
 #: Per-class object-walk metadata: (crc of the type tag, [(slot name,
-#: crc of the slot-name bytes), ...]).  Pure caching of values the walk
-#: recomputed per object — the resulting fingerprints are unchanged.
+#: crc of the slot-name bytes), ...], flat).  Pure caching of values the walk
+#: recomputed per object — the resulting fingerprints are unchanged.  ``flat``
+#: says instances carry no ``__dict__``, so their state is the slots alone.
 _class_meta_cache: dict = {}
 
 
@@ -110,7 +112,8 @@ def _class_meta(cls):
     if meta is None:
         tag_crc = _crc(b"O" + cls.__name__.encode())
         slot_meta = [(name, _crc(name.encode())) for name in _sorted_slots(cls)]
-        meta = (tag_crc, slot_meta)
+        flat = bool(slot_meta) and not cls.__dictoffset__
+        meta = (tag_crc, slot_meta, flat)
         _class_meta_cache[cls] = meta
     return meta
 
@@ -125,6 +128,20 @@ def fingerprint(value) -> int:
     state-less objects (functions, modules, pools) hash to their type name
     only, which keeps the walk from escaping into the simulation graph.
     """
+    meta = _class_meta_cache.get(value.__class__)
+    if meta is not None and meta[2]:
+        # Direct walk for a slots-only object whose slots all hold scalars
+        # (every built-in determinant): the same (name, value) digests the
+        # generic walk folds in one at a time, packed and folded at once.
+        # An unset or non-scalar slot hands over to the generic walk.
+        parts = []
+        for name, name_crc in meta[1]:
+            scalar = _scalar_bytes(getattr(value, name, meta))
+            if scalar is None:
+                return _fp(value, ())
+            parts.append(name_crc)
+            parts.append(zlib.crc32(scalar))
+        return combine_all(meta[0], parts)
     return _fp(value, ())
 
 
@@ -154,7 +171,7 @@ def _fp(value, stack) -> int:
         for key_fp, val_fp in items:
             crc = combine(combine(crc, key_fp), val_fp)
         return crc
-    tag_crc, slot_meta = _class_meta(type(value))
+    tag_crc, slot_meta, _flat = _class_meta(type(value))
     state = getattr(value, "__dict__", None)
     if state:
         return combine(tag_crc, _fp(state, stack))

@@ -41,8 +41,8 @@ class NetworkBuffer:
         #: Records appended so far — kept incrementally (writers bump it on
         #: their direct-append fast path too) so dispatch stays O(1).
         self.n_records = 0
-        #: Causal-log delta piggybacked on this buffer (list of
-        #: (task_id, epoch, determinants) tuples); None outside Clonos mode.
+        #: Causal-log delta piggybacked on this buffer (a list of by-reference
+        #: ``repro.core.causal_log.DeltaSlice``); None outside Clonos mode.
         self.delta: Optional[list] = None
         self.delta_bytes = 0
         self.pool = pool

@@ -183,7 +183,7 @@ class OutputChannel:
                 buffer.delta_bytes = delta_bytes
                 entries = 0
                 for s in delta:
-                    entries += len(s[4])
+                    entries += s[4] - s[3]
                 self.charge(
                     self.cost.serialize_time(delta_bytes)
                     + entries * self.cost.determinant_cpu_cost

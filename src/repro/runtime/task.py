@@ -536,7 +536,7 @@ class StreamTask:
                     return
                 entries = 0
                 for s in buffer.delta:
-                    entries += len(s[4])
+                    entries += s[4] - s[3]
                 self.charge(
                     self.cost.serialize_time(buffer.delta_bytes)
                     + entries * self.cost.determinant_cpu_cost

@@ -39,17 +39,38 @@ class TestEpochLog:
         assert log.epochs() == [2]
 
     def test_merge_slice_is_idempotent(self):
-        log = EpochLog()
         entries = [ts(1.0), ts(2.0), ts(3.0)]
-        log.merge_slice(0, 0, entries[:2])
-        log.merge_slice(0, 0, entries)  # overlap: extends by one
-        log.merge_slice(0, 1, entries[1:])  # fully covered
+        src = EpochLog()
+        src.append(0, entries[0])
+        src.append(0, entries[1])
+        log = EpochLog()
+        log.merge_slice(*src.slice_of(0))
+        src.append(0, entries[2])
+        log.merge_slice(*src.slice_of(0))  # overlap: extends by one
+        log.merge_slice(*src.slice_of(0, base=1))  # fully covered
         assert log.entries(0) == entries
+        assert log.bytes_held == src.bytes_held == log.size_bytes()
+        log.verify()
 
     def test_merge_slice_rejects_gap(self):
-        log = EpochLog()
+        src = EpochLog()
+        for value in (1.0, 2.0, 3.0):
+            src.append(0, ts(value))
         with pytest.raises(DeterminantLogError):
-            log.merge_slice(0, 2, [ts(1.0)])
+            EpochLog().merge_slice(*src.slice_of(0, base=2))
+
+    def test_slices_share_the_senders_lists(self):
+        src = EpochLog()
+        src.append(0, ts(1.0))
+        _epoch, base, end, entries, fps, nbytes = src.slice_of(0)
+        assert (base, end, nbytes) == (0, 1, 9)
+        assert entries is src.entries(0) and len(fps) == 4
+        # The sender keeps appending; a slice cut earlier still reads [0, 1).
+        src.append(0, ts(2.0))
+        log = EpochLog()
+        log.merge_slice(0, base, end, entries, fps, nbytes)
+        assert log.entries(0) == [ts(1.0)]
+        assert log.entries(0) is not entries
 
     def test_size_bytes_counts_wire_sizes(self):
         log = EpochLog()
@@ -163,5 +184,8 @@ def test_merge_bundles_keeps_longest_prefix():
 
 
 def test_delta_wire_size_counts_headers_and_entries():
-    slices = [("t", MAIN, 0, 0, [ts(1.0), ts(2.0, fresh=False)])]
-    assert delta_wire_size(slices) == 12 + 9 + 1
+    mgr = CausalLogManager("t", 1, None)
+    mgr.append_main(ts(1.0))
+    mgr.append_main(ts(2.0, fresh=False))
+    slices, nbytes = mgr.delta_for_dispatch(0)
+    assert delta_wire_size(slices) == nbytes == 12 + 9 + 1

@@ -3,13 +3,17 @@
 
 import random
 
+import pytest
+
 from repro.cli import _audit_matches, _audit_run
+from repro.core.causal_log import CausalLogManager
 from repro.integrity.audit import audit_job
 from repro.integrity.corruption import (
     corrupt_checkpoint,
     corrupt_standby_image,
     random_corruptions,
     tampered_copy,
+    truncate_determinant_log,
 )
 from repro.sim.rng import derive_seed
 
@@ -19,8 +23,10 @@ class _Args:
     events = 800
 
 
-def fresh_job():
-    return _audit_run(_Args)
+def fresh_job(events=_Args.events):
+    args = _Args()
+    args.events = events
+    return _audit_run(args)
 
 
 def test_uncorrupted_run_audits_clean():
@@ -101,3 +107,47 @@ def test_tampered_copy_changes_payload_not_seal():
     assert original.intact
     assert not clone.intact
     assert clone.crc == original.crc  # the seal survives; the payload drifted
+
+
+@pytest.mark.parametrize(
+    "events, damage",
+    [(800, "entry-corrupt"), (850, "-")],  # open epoch only / a sealed epoch too
+)
+def test_determinant_corruption_never_rewrites_a_delta_on_the_wire(events, damage):
+    # Delta slices reference the holder's entry lists, they do not copy them.
+    # Damaging a holder's replica must therefore swap in a damaged copy: a
+    # delta the holder already cut still delivers the undamaged log.
+    jm = fresh_job(events)
+    victim = "stage1[0]"
+    on_the_wire = {}
+    for name, vertex in jm.vertices.items():
+        causal = vertex.task.causal
+        if causal.stored_bundle_for(victim) is not None and vertex.task.all_output_channels:
+            causal.reset_channel_cursors(0)  # next delta re-carries the full store
+            on_the_wire[name] = causal.delta_for_dispatch(0)[0]
+
+    def replica_after(slices, sender):
+        receiver = CausalLogManager("receiver", 0, None)
+        receiver.merge_delta(slices, sender)
+        bundle = receiver.stored_bundle_for(victim)
+        bundle.verify()
+        return {
+            (name, epoch): list(log.entries(epoch))
+            for name, log in bundle.logs.items()
+            for epoch in log.epochs()
+        }
+
+    before = {name: replica_after(s, name) for name, s in on_the_wire.items()}
+    assert before and all(before.values())
+
+    detail = truncate_determinant_log(jm, victim, random.Random(1))
+    assert detail is not None and detail.rsplit(":", 1)[1].startswith(damage), detail
+    holder = detail.split(":", 1)[0]
+    assert holder in on_the_wire, "damage must hit a holder with a delta in flight"
+
+    for name, slices in on_the_wire.items():
+        assert replica_after(slices, name) == before[name], name
+    report = audit_job(jm)
+    assert _audit_matches("determinant_truncation", detail, report.violations), (
+        detail, report.violations,
+    )

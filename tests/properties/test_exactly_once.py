@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import FaultToleranceMode
+from repro.errors import FailureInjectionError
 from repro.external.kafka import DurableLog
 from repro.graph.logical import JobGraphBuilder
 from repro.operators import KafkaSink, KafkaSource, Operator
@@ -27,12 +28,20 @@ class NondetFanout(Operator):
             ctx.collect((record.value, copy_index, copies))
 
 
+RATE = 2000.0
+
+
 @st.composite
 def scenarios(draw):
+    n_records = draw(st.integers(min_value=800, max_value=2000))
+    victim = draw(st.sampled_from(["src[0]", "mid[0]", "mid[1]"]))
+    # The source ingests its last record at (n_records - 1) / RATE and then
+    # FINISHES: a later kill has no task to land on.
+    latest = min(0.9, (n_records - 1) / RATE) if victim == "src[0]" else 0.9
     return dict(
-        n_records=draw(st.integers(min_value=800, max_value=2000)),
-        kill_at=draw(st.floats(min_value=0.15, max_value=0.9)),
-        victim=draw(st.sampled_from(["src[0]", "mid[0]", "mid[1]"])),
+        n_records=n_records,
+        kill_at=draw(st.floats(min_value=0.15, max_value=latest, exclude_max=True)),
+        victim=victim,
         checkpoint_interval=draw(st.sampled_from([0.2, 0.35, 0.5])),
         seed=draw(st.integers(min_value=0, max_value=10**6)),
     )
@@ -55,12 +64,25 @@ def scenarios(draw):
         seed=0,
     )
 )
+# Pinned regression (ROADMAP item 0): the source drains 998 records by
+# t=0.499, so this kill finds ``src[0]`` FINISHED.  That used to fail the
+# test with FailureInjectionError; an unlanded kill now leaves a failure-free
+# run, which must be exactly-once all the same.
+@example(
+    dict(
+        n_records=998,
+        kill_at=0.5,
+        victim="src[0]",
+        checkpoint_interval=0.2,
+        seed=0,
+    )
+)
 @settings(max_examples=12, deadline=None)
 def test_clonos_exactly_once_everywhere(params):
     env = Environment()
     log = DurableLog()
     log.create_generated_topic(
-        "in", 1, lambda p, off: off, 2000.0, params["n_records"]
+        "in", 1, lambda p, off: off, RATE, params["n_records"]
     )
     log.create_topic("out", 1)
     config = make_config(
@@ -78,9 +100,14 @@ def test_clonos_exactly_once_everywhere(params):
     )
     jm = JobManager(env, builder.build(), config)
     jm.deploy()
-    env.schedule_callback(
-        params["kill_at"], lambda: jm.kill_task(params["victim"])
-    )
+
+    def kill():
+        try:
+            jm.kill_task(params["victim"])
+        except FailureInjectionError:
+            pass  # victim already FINISHED: nothing to recover from
+
+    env.schedule_callback(params["kill_at"], kill)
     jm.run_until_done(limit=600)
 
     by_input = {}

@@ -1,11 +1,24 @@
 """Property-based tests on the core data structures."""
 
+import copy
+import random
+from collections import deque
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.causal_log import EpochLog
+from repro.core import determinants as dets
+from repro.core.causal_log import (
+    _CRC_SEED,
+    CausalLogManager,
+    EpochLog,
+    delta_wire_size,
+    queue_log_name,
+)
 from repro.core.determinants import TimestampDeterminant
 from repro.graph.elements import StreamRecord
+from repro.integrity.corruption import _tamper_determinant
+from repro.integrity.fingerprint import _fp, combine, fingerprint
 from repro.net.partitioner import HashPartitioner, RebalancePartitioner, stable_hash
 from repro.net.serialization import payload_size
 from repro.operators.window import EventTimeWindowOperator, CountAggregator
@@ -40,10 +53,237 @@ def test_merge_slices_yield_exact_prefix(case):
     log = EpochLog()
     frontier = 0
     for base, end in slices:
-        log.merge_slice(0, base, truth[base:end])
+        sender = EpochLog()  # what the sender held when it cut [base, end)
+        for det in truth[:end]:
+            sender.append(0, det)
+        if end:
+            log.merge_slice(*sender.slice_of(0, base))
         frontier = max(frontier, end)
         # Invariant: the stored entries are exactly the longest prefix seen.
         assert log.entries(0) == truth[:frontier]
+        assert log.bytes_held == sum(d.wire_size() for d in truth[:frontier])
+        log.verify()
+
+
+# -- causal log: by-reference deltas vs. a straightforward reference ------------
+
+
+class ReferenceManager:
+    """What ``CausalLogManager`` does, written the obvious way: every slice a
+    copied list, a cursor per (channel, origin, log, epoch), every byte count
+    and fingerprint recomputed entry by entry."""
+
+    def __init__(self, task_id, dsd):
+        self.task_id = task_id
+        self.dsd = dsd
+        self.own = {}  # log name -> {epoch: [determinant]}
+        self.store = {}  # origin -> [distance, {log name: {epoch: [...]}}]
+        self.sent = {}  # (channel, origin, log name, epoch) -> entries sent
+        self.truncated_before = 0
+
+    def append(self, log_name, epoch, det):
+        self.own.setdefault(log_name, {}).setdefault(epoch, []).append(det)
+
+    def delta(self, channel):
+        bundles = [(self.task_id, self.own)]
+        for origin, (distance, logs) in self.store.items():
+            if self.dsd is None or distance + 2 <= self.dsd:
+                bundles.append((origin, logs))
+        slices = []
+        for origin, logs in bundles:
+            for log_name, epochs in logs.items():
+                for epoch, entries in epochs.items():
+                    key = (channel, origin, log_name, epoch)
+                    sent = self.sent.get(key, 0)
+                    if sent < len(entries):
+                        slices.append((origin, log_name, epoch, sent, entries[sent:]))
+                        self.sent[key] = len(entries)
+        return slices
+
+    def merge(self, slices, sender):
+        for origin, log_name, epoch, base, entries in slices:
+            if epoch < self.truncated_before:
+                continue
+            held = self.store.setdefault(origin, [1, {}])
+            if origin == sender:
+                held[0] = 0
+            stored = held[1].setdefault(log_name, {}).setdefault(epoch, [])
+            assert base <= len(stored)
+            stored.extend(entries[len(stored) - base :])
+
+    def reset_channel(self, channel):
+        self.sent = {k: v for k, v in self.sent.items() if k[0] != channel}
+
+    def checkpoint_complete(self, checkpoint_id):
+        self.truncated_before = max(self.truncated_before, checkpoint_id)
+        for logs in [self.own] + [held[1] for held in self.store.values()]:
+            for epochs in logs.values():
+                for epoch in [e for e in epochs if e < checkpoint_id]:
+                    del epochs[epoch]
+        self.sent = {k: v for k, v in self.sent.items() if k[3] >= checkpoint_id}
+
+
+def _assert_log_matches(log, reference_epochs, where):
+    live = {e: entries for e, entries in reference_epochs.items() if entries}
+    assert {e for e in log.epochs() if log.length(e)} == set(live), where
+    for epoch, expected in live.items():
+        assert log.entries(epoch) == expected, (where, epoch)
+        crc = _CRC_SEED
+        for det in expected:
+            crc = combine(crc, _fp(det, ()))
+        seg = log._epochs[epoch]
+        assert seg.crc == crc, (where, epoch)
+        assert len(seg.fps) == 4 * len(expected), (where, epoch)
+    assert log.bytes_held == log.size_bytes(), where
+    log.verify(where)
+
+
+#: origin task -> its output channels' receivers.  ``skip`` gives "c" the
+#: bundle of "a" first via "b" (distance 1) and later directly (distance 0),
+#: the only way a stored bundle *becomes* forwardable under a bounded DSD.
+TOPOLOGIES = {
+    "diamond": {"a": ["b0", "b1"], "b0": ["c"], "b1": ["c"], "c": ["d"], "d": []},
+    "skip": {"a": ["b", "c"], "b": ["c"], "c": ["d"], "d": []},
+}
+
+
+def _determinant(kind, n):
+    if kind == 0:
+        return dets.OrderDeterminant(n % 3, n)
+    if kind == 1:
+        return dets.TimestampDeterminant(n * 0.5, fresh=bool(n % 2))
+    if kind == 2:
+        return dets.CustomDeterminant("udf", (n, [n, str(n)]))
+    return dets.BufferSizeDeterminant(n, n % 7, 100 + n)
+
+
+#: (operation, weight): a schedule dense in traffic, with the rare lifecycle
+#: events (duplicated deliveries, reconnects, epoch turnover) mixed in.
+OPERATIONS = [
+    ("append", 30), ("dispatch", 25), ("deliver", 30), ("duplicate", 4),
+    ("reset", 3), ("barrier", 5), ("complete", 3),
+]
+
+
+@given(
+    st.sampled_from(sorted(TOPOLOGIES)),
+    st.sampled_from([1, 2, None]),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_by_reference_deltas_match_reference(topology, dsd, seed):
+    rng = random.Random(seed)
+    graph = TOPOLOGIES[topology]
+    names = sorted(graph)
+    real = {n: CausalLogManager(n, len(graph[n]), dsd) for n in names}
+    ref = {n: ReferenceManager(n, dsd) for n in names}
+    epoch_of = dict.fromkeys(names, 0)
+    wires = {(n, c): deque() for n in names for c in range(len(graph[n]))}
+    delivered = {key: [] for key in wires}
+    kinds, weights = zip(*OPERATIONS)
+
+    for count, op in enumerate(rng.choices(kinds, weights, k=400)):
+        name = rng.choice(names)
+        mgr, model = real[name], ref[name]
+        channels = range(len(graph[name]))
+        if op == "append":
+            det = _determinant(rng.randrange(4), count)
+            if channels and rng.random() < 0.3:
+                channel = rng.choice(channels)
+                mgr.append_queue(channel, det)
+                model.append(queue_log_name(channel), epoch_of[name], det)
+            else:
+                mgr.append_main(det)
+                model.append("main", epoch_of[name], det)
+        elif op == "dispatch" and channels:
+            channel = rng.choice(channels)
+            slices, nbytes = mgr.delta_for_dispatch(channel)
+            expected = model.delta(channel)
+            assert sorted(
+                (t, l, e, b, entries[b:end]) for t, l, e, b, end, entries, _f, _n in slices
+            ) == sorted(expected)
+            assert nbytes == delta_wire_size(slices) == sum(
+                12 + sum(d.wire_size() for d in entries) for *_k, entries in expected
+            )
+            wires[name, channel].append((slices, expected))
+        elif op in ("deliver", "duplicate"):
+            # Channels are FIFO; senders interleave freely; a duplicate
+            # re-merges any delta the channel delivered before.
+            pool = wires if op == "deliver" else delivered
+            ready = sorted(key for key, queued in pool.items() if queued)
+            if not ready:
+                continue
+            sender, channel = rng.choice(ready)
+            if op == "deliver":
+                slices, expected = wires[sender, channel].popleft()
+                delivered[sender, channel].append((slices, expected))
+            else:
+                slices, expected = rng.choice(delivered[sender, channel])
+            receiver = graph[sender][channel]
+            real[receiver].merge_delta(slices, sender)
+            ref[receiver].merge(expected, sender)
+        elif op == "reset" and channels:
+            channel = rng.choice(channels)
+            mgr.reset_channel_cursors(channel)
+            model.reset_channel(channel)
+        elif op == "barrier":
+            epoch_of[name] += 1
+            mgr.on_barrier(epoch_of[name])
+        elif op == "complete" and epoch_of[name]:
+            checkpoint_id = rng.randint(1, epoch_of[name])
+            mgr.on_checkpoint_complete(checkpoint_id)
+            model.checkpoint_complete(checkpoint_id)
+
+    for name in names:
+        mgr, model = real[name], ref[name]
+        for log_name, log in mgr.bundle.logs.items():
+            _assert_log_matches(log, model.own.get(log_name, {}), f"{name}:{log_name}")
+        live_origins = {o for o, held in model.store.items()}
+        assert set(mgr.store) == live_origins
+        for origin, (distance, logs) in model.store.items():
+            real_distance, bundle = mgr.store[origin]
+            assert real_distance == distance
+            for log_name, epochs in logs.items():
+                _assert_log_matches(
+                    bundle.log(log_name), epochs, f"{name}<-{origin}:{log_name}"
+                )
+        assert mgr.bytes_held() == mgr.size_bytes()
+
+
+# -- direct fingerprint walk -----------------------------------------------------
+
+
+def test_direct_fingerprint_equals_generic_walk_for_every_determinant():
+    samples = [
+        dets.OrderDeterminant(2, 17),
+        dets.TimestampDeterminant(12.5, fresh=True),
+        dets.TimestampDeterminant(12.5, fresh=False),
+        dets.TimerFiredDeterminant("window-3", 42),
+        dets.RngSeedDeterminant(2**40 + 1),
+        dets.ExternalCallDeterminant("GET /rate", "1.07"),
+        dets.ExternalCallDeterminant("GET /rates", {"eur": 1.07, "gbp": [0.8, None]}),
+        dets.CustomDeterminant("coin", True),
+        dets.CustomDeterminant("udf", (1, [2.5, "x"], {"k": b"v"})),  # generic walk
+        dets.BufferSizeDeterminant(9, 4, 1000),
+        dets.BarrierInjectDeterminant(3, 120),
+        dets.WatermarkEmitDeterminant(99.25, 7),
+        dets.RpcDeterminant({"op": "scale", "to": 3}, 5),
+        dets.RpcDeterminant(None, 5),
+    ]
+    covered = {type(s) for s in samples}
+    concrete = {
+        cls for cls in vars(dets).values()
+        if isinstance(cls, type) and issubclass(cls, dets.Determinant)
+        and cls is not dets.Determinant
+    }
+    assert covered == concrete, concrete - covered
+    samples += [_tamper_determinant(s) for s in samples]
+    fingerprint(samples[0])  # first sight of a class takes the generic walk
+    for sample in samples:
+        assert fingerprint(sample) == _fp(sample, ()), sample
+        assert fingerprint(copy.deepcopy(sample)) == fingerprint(sample)
+    tampered = {fingerprint(s) for s in samples}
+    assert len(tampered) == len(samples), "tampering must change the digest"
 
 
 # -- partitioners -------------------------------------------------------------
