@@ -52,10 +52,10 @@ def _chaos_status() -> str:
         from repro.chaos import chaos_soak
 
         results = chaos_soak(range(4), max_faults=3, n_records=600)
-        violations = [r.seed for r in results if r.verdict == "violation"]
+        violations = [r.label for r in results if not r.ok]
         if violations:
             return f"violations at seeds {violations}"
-        degraded = sum(r.verdict != "exactly-once" for r in results)
+        degraded = sum(r.outcome != "transparent" for r in results)
         return f"clean ({len(results)} seeds, {degraded} degraded)"
     except Exception as exc:  # pragma: no cover - keep benchmarks running
         return f"unavailable ({type(exc).__name__})"
@@ -72,14 +72,13 @@ def _integrity_status() -> str:
     try:
         import random
 
-        from repro.cli import _audit_matches, _audit_run
-        from repro.integrity.audit import audit_job
+        from repro.integrity.audit import audit_job, audit_matches, audit_run
         from repro.integrity.corruption import random_corruptions
         from repro.integrity.soak import integrity_soak
         from repro.sim.rng import derive_seed
 
         results = integrity_soak(range(3), n_records=600)
-        violations = [r.seed for r in results if r.verdict == "violation"]
+        violations = [r.label for r in results if not r.ok]
         if violations:
             return f"violations at seeds {violations}"
         flagged = sum(
@@ -87,11 +86,7 @@ def _integrity_status() -> str:
             for r in results
         )
 
-        class _Args:
-            seed = 0
-            events = 600
-
-        jm = _audit_run(_Args)
+        jm = audit_run(seed=0, n_records=600)
         injected = random_corruptions(
             jm, 4, random.Random(derive_seed(0, "audit-inject"))
         )
@@ -99,7 +94,7 @@ def _integrity_status() -> str:
         missed = [
             (kind, detail)
             for kind, detail in injected
-            if not _audit_matches(kind, detail, report.violations)
+            if not audit_matches(kind, detail, report.violations)
         ]
         if missed or not injected:
             return f"audit missed {len(missed)}/{len(injected)} injections"

@@ -5,9 +5,10 @@ A :class:`~repro.chaos.plan.FaultPlan` declares *what goes wrong when*
 control-RPC loss/duplication, compute slowdown, poison pills, DFS and
 output-broker outages/brownouts, external-service fault windows);
 the :class:`~repro.chaos.engine.ChaosEngine` schedules it against a running
-job, deterministically from the plan's seed.  :mod:`repro.chaos.soak`
-runs randomised plans against the synthetic nondeterministic pipeline and
-verdicts each run: output exactly-once, explicitly degraded, or violation.
+job, deterministically from the plan's seed.  :mod:`repro.chaos.experiment`
+is the fault-experiment engine every gate shares (job builder, run
+primitive, failure-free baseline, verdict function); :mod:`repro.chaos.soak`
+feeds it randomised plans.
 :mod:`repro.chaos.poison` quarantines records that deterministically crash
 their operator on every incarnation.  The named production incidents built
 from these primitives live in :mod:`repro.scenarios`.
@@ -22,7 +23,8 @@ from repro.chaos.plan import (
     random_plan,
 )
 from repro.chaos.poison import PoisonRegistry
-from repro.chaos.soak import ChaosRunResult, chaos_soak, run_chaos_experiment
+from repro.chaos.experiment import FaultResult, grade, run_experiment
+from repro.chaos.soak import chaos_soak
 
 __all__ = [
     "FAULT_KINDS",
@@ -33,7 +35,8 @@ __all__ = [
     "ChaosEngine",
     "ControlPlaneChaos",
     "PoisonRegistry",
-    "ChaosRunResult",
-    "run_chaos_experiment",
+    "FaultResult",
+    "run_experiment",
+    "grade",
     "chaos_soak",
 ]

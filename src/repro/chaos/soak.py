@@ -1,219 +1,70 @@
 """Chaos soak: randomised fault schedules vs. the recovery protocol.
 
-Runs the synthetic *nondeterministic* pipeline (wall-clock-stamping stages)
-under a :class:`FaultPlan` and verdicts the output against the failure-free
-expectation:
-
-* ``"exactly-once"`` — every input record's origin ``(partition, offset)``
-  appears in the sink output exactly once (what failure-free execution
-  produces: the chain maps each input to exactly one output).
-* ``"degraded:global_rollback"`` — the run *explicitly recorded* a
-  degradation (escalation-ladder exhaustion, orphan fallback, or a global
-  restart) and the output is at-least-once: duplicates allowed, loss not.
-* ``"violation"`` — anything else: silent loss, silent duplication, or
-  duplication without a recorded degradation.
-
-A run that exceeds the simulation deadline raises
-:class:`~repro.errors.JobError` from ``run_until_done`` — a hang is a test
-failure, never a verdict.
+One schedule generator over the fault-experiment engine
+(:mod:`repro.chaos.experiment`, which defines the verdict vocabulary): each
+seed draws a :func:`~repro.chaos.plan.random_plan` against the deployed
+job's real task and link names.  The seed fully determines both the plan
+and the job, so a violating seed reruns identically under
+``repro chaos --seed N``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Sequence
 
-from repro.chaos.engine import ChaosEngine
-from repro.chaos.plan import FaultPlan, random_plan
-from repro.config import CostModel, FaultToleranceMode, JobConfig
-from repro.external.kafka import DurableLog
-from repro.runtime.jobmanager import JobManager
-from repro.sim.core import Environment
-from repro.workloads.synthetic import synthetic_chain
-
-#: Recovery-event kinds that announce degraded (at-least-once) semantics.
-DEGRADATION_MARKERS = (
-    "degraded:global_rollback",
-    "degraded:recovery_stalled",
-    "degraded:poison_quarantined",
-    "orphan-fallback",
-    "global-restart-begin",
-    "replay-diverged",
+from repro.chaos.experiment import (
+    FaultResult,
+    SoakJob,
+    fast_chaos_config,
+    grade,
+    run_experiment,
 )
+from repro.chaos.plan import random_plan
 
 
-def fast_chaos_config(
-    mode: FaultToleranceMode = FaultToleranceMode.CLONOS,
-    checkpoint_interval: float = 0.5,
-    seed: int = 7,
-    **kwargs,
-) -> JobConfig:
-    """A soak-friendly config: sub-second detection/deploy/activation so a
-    whole chaotic run fits in a few simulated seconds."""
-    cost = CostModel(
-        heartbeat_interval=0.3,
-        heartbeat_timeout=0.5,
-        task_deploy_time=0.2,
-        task_cancel_time=0.05,
-        standby_activation_time=0.02,
-        connection_failure_detection=0.02,
-        kill_deferral_deadline=60.0,
-    )
-    config = JobConfig(
-        mode=mode,
-        checkpoint_interval=checkpoint_interval,
-        cost=cost,
-        seed=seed,
-        **kwargs,
-    )
-    config.clonos.recovery_step_deadline = 5.0
-    return config
+def random_faults(
+    seed: int, window: float, max_faults: int, kinds: Optional[Sequence[str]] = None
+):
+    """A fault schedule drawn by :func:`~repro.chaos.plan.random_plan` once
+    the job is deployed, so it targets real task and link names."""
 
+    def plan(jm):
+        links = sorted(
+            link.name
+            for vertex in jm.vertices.values()
+            for _edge, channels in vertex.out_links
+            for _f, _d, link in channels
+        )
+        return random_plan(
+            seed,
+            window,
+            task_names=sorted(jm.vertices),
+            link_names=links,
+            max_faults=max_faults,
+            kinds=kinds,
+        )
 
-@dataclass
-class ChaosRunResult:
-    """One soak run's outcome."""
-
-    seed: int
-    verdict: str
-    duration: float
-    expected: int
-    delivered: int
-    missing: int
-    duplicated: int
-    degradations: List[Tuple[float, str, str]]
-    recovery_events: List[Tuple[float, str, str]] = field(repr=False)
-    chaos_summary: Dict[str, object] = field(default_factory=dict)
-    jm: Optional[JobManager] = field(default=None, repr=False)
-    engine: Optional[ChaosEngine] = field(default=None, repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict != "violation"
-
-
-def output_projection(values) -> Counter:
-    """Project sink records to their input origin ``(partition, offset)`` —
-    the identity that exactly-once is judged on (wall-clock stamps shift
-    legitimately when recovery delays the non-replayed suffix)."""
-    return Counter((v[0], v[1]) for v in values)
-
-
-def run_chaos_experiment(
-    plan: Union[FaultPlan, Callable[[JobManager], FaultPlan]],
-    config: Optional[JobConfig] = None,
-    depth: int = 3,
-    parallelism: int = 2,
-    n_records: int = 1200,
-    rate: float = 2000.0,
-    limit: float = 120.0,
-    out_topic: str = "chaos-out",
-) -> ChaosRunResult:
-    """One chaotic run of the synthetic nondeterministic chain.
-
-    ``plan`` may be a :class:`FaultPlan` or a factory called with the
-    deployed job manager (so random plans can target real task/link names).
-    """
-    config = config or fast_chaos_config()
-    env = Environment()
-    log = DurableLog()
-    graph = synthetic_chain(
-        log,
-        depth=depth,
-        parallelism=parallelism,
-        rate_per_partition=rate,
-        total_per_partition=n_records,
-        state_bytes_per_task=8192,
-        num_keys=16,
-        nondeterministic=True,
-        in_topic="chaos-in",
-        out_topic=out_topic,
-        exactly_once_sink=True,
-    )
-    jm = JobManager(env, graph, config)
-    jm.deploy()
-    if callable(plan):
-        plan = plan(jm)
-    engine = ChaosEngine(jm, plan)
-    engine.arm()
-    jm.run_until_done(limit=limit)  # raises JobError on a hang
-
-    projection = output_projection(
-        entry.value for entry in log.read_all(out_topic)
-    )
-    expected = {
-        (p, off) for p in range(parallelism) for off in range(n_records)
-    }
-    missing = [pair for pair in expected if projection[pair] == 0]
-    extra = [pair for pair in projection if pair not in expected]
-    duplicated = {pair: c for pair, c in projection.items() if c > 1}
-    degradations = [
-        (t, kind, who)
-        for (t, kind, who) in jm.recovery_events
-        if kind in DEGRADATION_MARKERS
-    ]
-    if not missing and not extra and not duplicated:
-        verdict = "exactly-once"
-    elif degradations and not missing and not extra:
-        verdict = "degraded:global_rollback"
-    else:
-        verdict = "violation"
-    return ChaosRunResult(
-        seed=plan.seed,
-        verdict=verdict,
-        duration=env.now,
-        expected=len(expected),
-        delivered=sum(projection.values()),
-        missing=len(missing),
-        duplicated=sum(c - 1 for c in duplicated.values()),
-        degradations=degradations,
-        recovery_events=list(jm.recovery_events),
-        chaos_summary=engine.summary(),
-        jm=jm,
-        engine=engine,
-    )
+    return plan
 
 
 def chaos_soak(
-    seeds,
-    config_factory: Optional[Callable[[int], JobConfig]] = None,
+    seeds: Iterable[int],
     max_faults: int = 4,
-    horizon: Optional[float] = None,
-    **run_kwargs,
-) -> List[ChaosRunResult]:
-    """Run one chaotic experiment per seed; returns the per-run results.
-
-    Each seed fully determines both the fault plan and the job, so a
-    violating seed reruns identically under ``repro chaos --seed N``.
-    """
-    n_records = run_kwargs.get("n_records", 1200)
-    rate = run_kwargs.get("rate", 2000.0)
-    window = horizon if horizon is not None else n_records / rate + 0.5
-
-    results = []
-    for seed in seeds:
-        config = (
-            config_factory(seed) if config_factory is not None
-            else fast_chaos_config(seed=seed)
+    n_records: int = 1200,
+    limit: float = 120.0,
+) -> List[FaultResult]:
+    """Run one chaotic experiment per seed; returns the graded results."""
+    job = SoakJob(n_records=n_records)
+    window = n_records / job.rate + 0.5
+    return [
+        grade(
+            seed,
+            run_experiment(
+                job,
+                random_faults(seed, window, max_faults),
+                fast_chaos_config(seed=seed),
+                limit,
+            ),
         )
-
-        def plan_factory(jm, seed=seed):
-            links = sorted(
-                link.name
-                for vertex in jm.vertices.values()
-                for _edge, channels in vertex.out_links
-                for _f, _d, link in channels
-            )
-            return random_plan(
-                seed,
-                window,
-                task_names=sorted(jm.vertices),
-                link_names=links,
-                max_faults=max_faults,
-            )
-
-        results.append(
-            run_chaos_experiment(plan_factory, config=config, **run_kwargs)
-        )
-    return results
+        for seed in seeds
+    ]

@@ -21,36 +21,41 @@ corresponding figure; see EXPERIMENTS.md for the mapping to the paper.
 ``lint`` runs the NDLint static pass, ``verify-static`` the interprocedural
 causal-coverage analyzer (ND201–ND210), and ``sanitize`` the double-run
 determinism sanitizer (see README, "Verifying your pipeline is causally
-loggable").  Determinism-tooling verbs share one exit-code convention:
-0 clean, 1 findings, 2 internal/usage error.  ``chaos`` soaks randomised fault plans against the recovery
-protocol and verdicts each run (see README, "Chaos testing the recovery
-protocol").  ``audit`` sweeps every stored artifact and verifies its
-content fingerprint — clean sweep exits 0; ``--inject K`` self-tests the
-sweep against seeded corruption; ``--soak`` runs corruption fault plans
-against the validated recovery ladder (see README, "Artifact integrity").
-``transparency`` enumerates every failure point on small topologies and
-asserts the recovered output is observationally equivalent to the
-failure-free baseline — any silent divergence exits 1 (see README,
-"Failure transparency as a checkable property").  ``scenarios`` runs the
-production incident pack: named, declarative fault schedules with
-per-scenario machine-checked verdicts — any failed verdict exits 1 (see
-README, "The production incident scenario pack").
+loggable").  ``audit`` sweeps every stored artifact and verifies its content
+fingerprint; ``--inject K`` self-tests the sweep against seeded corruption
+(see README, "Artifact integrity").
+
 ``trace`` records a fig6-style failure run on the causal event bus, exports
 JSONL + Chrome-trace/Perfetto JSON, and prints each recovery incident's
 per-phase breakdown plus the sim profiler's wall-clock hot spots (see
 README, "Observability").  ``bench`` times the named perf suites and checks
 the golden determinism digests (see ``repro.bench``); ``profile`` runs one
 suite under the sim-aware profiler and prints its wall-clock hot spots.
+
+``chaos``, ``audit --soak``, ``transparency`` and ``scenarios`` are four
+fault-schedule sources over one fault-experiment engine
+(``repro.chaos.experiment``): random fault plans, corruption plans, every
+enumerated failure point on small topologies, and the named production
+incident pack.  Each run is graded on one vocabulary — ``transparent``,
+``announced-degradation``, ``violation:<why>``, ``skipped:<why>`` — and
+reported by one table/tally helper (see README, "Fault experiments").
+
+Exit codes, for the determinism-tooling and the fault verbs alike: 0 clean,
+1 findings (any ``violation:*`` or failed scenario check), 2 usage or
+internal error (including a ``--seeds``/``--only``/``--topologies`` that
+selects nothing — a gate that ran nothing is never green).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.errors import ReproError
 from repro.harness.figures import (
     fig5_overhead,
     fig6_multi_failures,
@@ -564,68 +569,129 @@ def _cmd_sanitize(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_seeds(args) -> List[int]:
+# -- fault experiments --------------------------------------------------------
+#
+# chaos, audit --soak, transparency and scenarios are argument -> schedule
+# source adapters over one engine (repro.chaos.experiment) and one reporter.
+
+
+class _UsageError(Exception):
+    """A malformed command line: one line on stderr, exit 2."""
+
+
+def _fault_verb(run):
+    """The fault verbs' exit-code convention: 0 clean, 1 violations (from
+    :func:`_report`), 2 usage or internal error."""
+
+    @functools.wraps(run)
+    def command(args) -> int:
+        try:
+            return run(args)
+        except (_UsageError, ReproError) as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
+
+    return command
+
+
+def _names(raw: str, flag: str) -> List[str]:
+    """A comma list; empty after stripping is a usage error, not "all"."""
+    names = [name.strip() for name in raw.split(",") if name.strip()]
+    if not names:
+        raise _UsageError(f"{flag} {raw!r} names nothing")
+    return names
+
+
+def _seeds(args, default: Optional[str] = None) -> List[int]:
+    """``--seed N``, else ``--seeds lo:hi`` or a comma list (``default``
+    when the parser leaves ``--seeds`` unset).  An empty selection is a usage
+    error: a gate that ran nothing must not be green."""
     if args.seed is not None:
         return [args.seed]
-    raw = args.seeds
-    if ":" in raw:
-        lo, hi = raw.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in raw.split(",")]
+    raw = args.seeds if args.seeds is not None else default
+    try:
+        if ":" in raw:
+            lo, hi = raw.split(":", 1)
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(s) for s in raw.split(",") if s.strip()]
+    except ValueError:
+        raise _UsageError(
+            f"malformed --seeds {raw!r} (want lo:hi or a comma list)"
+        ) from None
+    if not seeds:
+        raise _UsageError(f"--seeds {raw!r} selects no seeds")
+    return seeds
 
 
-def _cmd_chaos(args) -> int:
-    from repro.chaos import chaos_soak
+def _report(title, columns, rows, results, verbose, json_path=None, payload=None) -> int:
+    """The one reporter behind the fault verbs: per-failure detail (every
+    run with ``verbose``), the table, the tally line over the shared verdict
+    vocabulary, the optional JSON artifact, and the exit code."""
+    import json
+
     from repro.metrics.collectors import recovery_summary
 
-    seeds = _parse_seeds(args)
+    for r in results:
+        if verbose or not r.ok:
+            print(
+                f"--- {r.label}: {r.outcome} (lost={r.missing} "
+                f"dup={r.duplicated} dur={r.obs.duration:.2f}s)"
+            )
+            if r.detail:
+                print(f"    {r.detail}")
+            for when, kind, who in r.obs.recovery_events:
+                if not kind.startswith("suspected"):
+                    print(f"    t={when:.4f} {kind} {who}")
+            print("   ", recovery_summary(r.obs.recovery_events))
+    print(title)
+    print(render_table(columns, rows))
+    outcomes = [r.outcome for r in results]
+    failed = [r.label for r in results if not r.ok]
+    print(
+        f"\n{len(results)} runs: {outcomes.count('transparent')} transparent, "
+        f"{outcomes.count('announced-degradation')} announced-degradation, "
+        f"{sum(o.startswith('skipped') for o in outcomes)} skipped, "
+        f"{len(failed)} violations"
+        + (f" ({', '.join(failed)})" if failed else "")
+    )
+    if json_path:
+        Path(json_path).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+        print(f"wrote {json_path}")
+    return 1 if failed else 0
+
+
+@_fault_verb
+def _cmd_chaos(args) -> int:
+    from repro.chaos import chaos_soak
+
     results = chaos_soak(
-        seeds,
+        _seeds(args),
         max_faults=args.max_faults,
         n_records=args.events,
         limit=args.limit,
     )
     rows = []
-    violations = 0
     for r in results:
+        chaos = r.obs.engine.summary()
         rows.append(
-            (
-                r.seed,
-                r.verdict,
-                f"{r.duration:.2f}s",
-                ",".join(r.chaos_summary["kinds"]) or "-",
-                r.missing,
-                r.duplicated,
-                r.chaos_summary["control_plane_drops"],
-            )
+            (r.label, r.outcome, f"{r.obs.duration:.2f}s",
+             ",".join(chaos["kinds"]) or "-", r.missing, r.duplicated,
+             chaos["control_plane_drops"])
         )
-        violations += r.verdict == "violation"
-        if args.verbose or r.verdict == "violation":
-            print(f"--- seed {r.seed}: {r.verdict}")
-            for when, kind, who in r.recovery_events:
-                if not kind.startswith("suspected"):
-                    print(f"    t={when:.4f} {kind} {who}")
-            print("   ", recovery_summary(r.recovery_events))
-    print("chaos soak: randomised fault plans vs the recovery protocol")
-    print(
-        render_table(
-            ["seed", "verdict", "dur", "faults", "lost", "dup", "rpc drops"],
-            rows,
-        )
+    return _report(
+        "chaos soak: randomised fault plans vs the recovery protocol",
+        ["seed", "verdict", "dur", "faults", "lost", "dup", "rpc drops"],
+        rows,
+        results,
+        args.verbose,
     )
-    n_eo = sum(r.verdict == "exactly-once" for r in results)
-    n_deg = sum(r.verdict == "degraded:global_rollback" for r in results)
-    print(
-        f"\n{len(results)} runs: {n_eo} exactly-once, {n_deg} degraded, "
-        f"{violations} violations"
-    )
-    return 1 if violations else 0
 
 
+@_fault_verb
 def _cmd_scenarios(args) -> int:
-    import json
-
-    from repro.errors import ScenarioError
     from repro.metrics.collectors import scenario_summary
     from repro.scenarios import SCENARIOS, run_pack
 
@@ -634,129 +700,61 @@ def _cmd_scenarios(args) -> int:
             print(f"{scenario.name:28s} {scenario.description}")
         return 0
 
-    only = None
-    if args.only:
-        only = [name.strip() for name in args.only.split(",") if name.strip()]
-    try:
-        results = run_pack(SCENARIOS, only=only, seed=args.seed)
-    except ScenarioError as exc:
-        print(f"scenarios: {exc}", file=sys.stderr)
-        return 2
-
-    print("scenario pack: named production incidents vs their verdicts")
-    rows = []
-    for r in results:
-        failed_checks = ",".join(
-            name for name, status in r.checks.items() if status != "ok"
+    only = _names(args.only, "--only") if args.only is not None else None
+    results = run_pack(SCENARIOS, only=only, seed=args.seed)
+    rows = [
+        (
+            r.name,
+            r.outcome,
+            f"{r.obs.duration:.2f}s",
+            f"{r.duration_overhead:.2f}x",
+            r.missing,
+            r.duplicated,
+            len(r.obs.degradations),
+            "-" if r.recovery_time is None else f"{r.recovery_time:.3f}s",
+            ",".join(n for n, status in r.checks.items() if status != "ok") or "-",
         )
-        rows.append(
-            (
-                r.name,
-                r.verdict,
-                f"{r.duration:.2f}s",
-                f"{r.duration_overhead:.2f}x",
-                r.missing,
-                r.duplicated,
-                r.degradations,
-                "-" if r.recovery_time is None else f"{r.recovery_time:.3f}s",
-                failed_checks or "-",
-            )
-        )
-        if args.verbose or not r.ok:
-            print(f"--- {r.name}: {r.verdict}")
-            for name, status in r.checks.items():
-                print(f"    {name}: {status}")
-            if args.verbose:
-                for when, kind, who in r.recovery_events:
-                    if not kind.startswith("suspected"):
-                        print(f"    t={when:.4f} {kind} {who}")
-    print(
-        render_table(
-            ["scenario", "verdict", "dur", "overhead", "lost", "dup",
-             "degr", "recovery", "failed checks"],
-            rows,
-        )
-    )
-    summary = scenario_summary(results)
-    print(
-        f"\n{summary['scenarios']} scenarios: {summary['passed']} passed, "
-        f"{len(summary['failed'])} failed"
-        + (f" ({', '.join(summary['failed'])})" if summary["failed"] else "")
-    )
-    if args.json:
-        payload = {
-            "summary": summary,
+        for r in results
+    ]
+    return _report(
+        "scenario pack: named production incidents vs their verdicts",
+        ["scenario", "verdict", "dur", "overhead", "lost", "dup",
+         "degr", "recovery", "failed checks"],
+        rows,
+        results,
+        args.verbose,
+        args.json,
+        {
+            "summary": scenario_summary(results),
             "scenarios": [r.to_dict() for r in results],
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    return 1 if summary["failed"] else 0
-
-
-def _audit_matches(kind: str, detail: str, violations) -> bool:
-    """Did the sweep flag the artifact this injection damaged?"""
-    names = [name for (_kind, name, _detail) in violations]
-    if kind in ("blob_corruption", "torn_write"):
-        task, cid = detail.rsplit("@", 1)
-        return any(detail in n or f"chk/{task}/{cid}" in n for n in names)
-    if kind == "standby_image":
-        return any(
-            vkind == "standby-image" and name == detail
-            for (vkind, name, _d) in violations
-        )
-    if kind == "buffer_bitflip":
-        artifact = detail.rsplit(":", 1)[0]  # strip the mutation suffix
-        return any(artifact in n for n in names)
-    # determinant_truncation: "holder:log@epochN:-k" vs
-    # "holder:stored[victim]:log@epochN"
-    holder, rest = detail.split(":", 1)
-    log_at_epoch = rest.rsplit(":", 1)[0]
-    return any(n.startswith(holder) and log_at_epoch in n for n in names)
-
-
-def _audit_run(args):
-    """Deploy the synthetic chain and run it to mid-flight, so every artifact
-    class is populated: retained checkpoints, standby images, logged
-    in-flight buffers, determinant replicas."""
-    from repro.chaos.soak import fast_chaos_config
-    from repro.external.kafka import DurableLog
-    from repro.runtime.jobmanager import JobManager
-    from repro.sim.core import Environment
-    from repro.workloads.synthetic import synthetic_chain
-
-    config = fast_chaos_config(seed=args.seed or 0, checkpoint_interval=0.25)
-    env = Environment()
-    log = DurableLog()
-    graph = synthetic_chain(
-        log,
-        depth=3,
-        parallelism=2,
-        rate_per_partition=1000.0,
-        total_per_partition=args.events,
-        state_bytes_per_task=8192,
-        num_keys=16,
-        nondeterministic=True,
-        in_topic="audit-in",
-        out_topic="audit-out",
-        exactly_once_sink=True,
+        },
     )
-    jm = JobManager(env, graph, config)
-    jm.deploy()
-    env.run(until=args.events / 1000.0 * 0.6)
-    return jm
 
 
+@_fault_verb
 def _cmd_audit(args) -> int:
     import random as random_module
 
-    from repro.integrity.audit import audit_job
+    from repro.integrity.audit import audit_job, audit_matches, audit_run
     from repro.integrity.corruption import random_corruptions
     from repro.sim.rng import derive_seed
 
     if args.soak or args.seeds is not None:
-        return _cmd_audit_soak(args)
-    jm = _audit_run(args)
+        from repro.integrity.soak import integrity_soak
+
+        results = integrity_soak(_seeds(args, "0:8"), n_records=args.events)
+        return _report(
+            "integrity soak: corruption fault plans vs the validation layer",
+            ["seed", "verdict", "injected", "flagged in run", "flagged by audit"],
+            [
+                (r.label, r.outcome, r.corruptions_injected,
+                 r.integrity_summary.get("total_failed", 0), len(r.audit.violations))
+                for r in results
+            ],
+            results,
+            verbose=False,
+        )
+    jm = audit_run(args.seed or 0, args.events)
     injected = []
     if args.inject:
         rng = random_module.Random(derive_seed(args.seed or 0, "audit-inject"))
@@ -769,7 +767,7 @@ def _cmd_audit(args) -> int:
         missed = [
             (kind, detail)
             for kind, detail in injected
-            if not _audit_matches(kind, detail, report.violations)
+            if not audit_matches(kind, detail, report.violations)
         ]
         for kind, detail in missed:
             print(f"MISSED: {kind} {detail}", file=sys.stderr)
@@ -781,48 +779,8 @@ def _cmd_audit(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_audit_soak(args) -> int:
-    from repro.integrity.soak import integrity_soak
-
-    seeds = _parse_seeds(args) if (args.seeds or args.seed is not None) else list(range(8))
-    results = integrity_soak(seeds, n_records=args.events)
-    rows = []
-    violations = 0
-    for r in results:
-        rows.append(
-            (
-                r.seed,
-                r.verdict,
-                r.corruptions_injected,
-                r.integrity_summary.get("total_failed", 0),
-                len(r.audit.violations),
-            )
-        )
-        violations += r.verdict == "violation"
-        if r.verdict == "violation":
-            print(f"--- seed {r.seed}: {r.verdict}")
-            for when, kind, who in r.chaos.recovery_events:
-                if not kind.startswith("suspected"):
-                    print(f"    t={when:.4f} {kind} {who}")
-    print("integrity soak: corruption fault plans vs the validation layer")
-    print(
-        render_table(
-            ["seed", "verdict", "injected", "flagged in run", "flagged by audit"],
-            rows,
-        )
-    )
-    n_eo = sum(r.verdict == "exactly-once" for r in results)
-    n_deg = sum(r.verdict == "degraded:global_rollback" for r in results)
-    print(
-        f"\n{len(results)} runs: {n_eo} exactly-once, {n_deg} degraded, "
-        f"{violations} violations"
-    )
-    return 1 if violations else 0
-
-
+@_fault_verb
 def _cmd_transparency(args) -> int:
-    import json
-
     from repro.transparency import (
         default_topologies,
         run_transparency_suite,
@@ -830,79 +788,34 @@ def _cmd_transparency(args) -> int:
     )
 
     topologies = default_topologies()
-    if args.topologies:
-        wanted = {name.strip() for name in args.topologies.split(",")}
+    if args.topologies is not None:
+        wanted = set(_names(args.topologies, "--topologies"))
         known = {t.name for t in topologies}
-        unknown = wanted - known
-        if unknown:
-            print(
-                f"unknown topologies: {', '.join(sorted(unknown))} "
-                f"(known: {', '.join(sorted(known))})",
-                file=sys.stderr,
+        if wanted - known:
+            raise _UsageError(
+                f"unknown topologies: {', '.join(sorted(wanted - known))} "
+                f"(known: {', '.join(sorted(known))})"
             )
-            return 2
         topologies = [t for t in topologies if t.name in wanted]
-
-    def on_case(case):
-        if args.verbose or not case.ok:
-            print(
-                f"    {case.point.label:32s} {case.outcome:24s} "
-                f"miss={case.missing} dup={case.duplicated} "
-                f"dur={case.duration:.2f}s"
-            )
-
-    from repro.errors import JobError
-
-    try:
-        reports = run_transparency_suite(
-            topologies,
-            boundaries=args.boundaries,
-            compound=not args.no_compound,
-            limit=args.limit,
-            on_case=on_case,
-        )
-    except JobError as exc:
-        print(f"transparency: internal error: {exc}", file=sys.stderr)
-        return 2
-
-    print("failure transparency: exhaustive failure-point exploration")
-    rows = [
-        (
-            r.topology,
-            r.operators,
-            r.tasks,
-            len(r.cases),
-            r.transparent,
-            r.announced,
-            r.skipped,
-            len(r.violations),
-        )
-        for r in reports
-    ]
-    print(
-        render_table(
-            ["topology", "ops", "tasks", "cases", "transparent",
-             "announced", "skipped", "violations"],
-            rows,
-        )
+    reports = run_transparency_suite(
+        topologies,
+        boundaries=args.boundaries,
+        compound=not args.no_compound,
+        limit=args.limit,
     )
-    payload = suite_payload(reports)
-    for case in payload["violating_cases"]:
-        print(
-            f"VIOLATION {case['topology']} {case['case']}: {case['outcome']} "
-            f"(missing={case['missing']} dup={case['duplicated']})",
-            file=sys.stderr,
-        )
-    if args.json:
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
-    total = payload["cases_total"]
-    print(
-        f"\n{total} cases: {payload['transparent']} transparent, "
-        f"{payload['announced_degradation']} announced degradations, "
-        f"{payload['skipped']} skipped, {payload['violations']} violations"
+    return _report(
+        "failure transparency: exhaustive failure-point exploration",
+        ["topology", "ops", "tasks", "cases", "transparent",
+         "announced", "skipped", "violations"],
+        [
+            (r.topo.name, r.topo.operators, len(r.baseline.tasks), *r.tally().values())
+            for r in reports
+        ],
+        [case for r in reports for case in r.cases],
+        args.verbose,
+        args.json,
+        suite_payload(reports),
     )
-    return 1 if payload["violations"] else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

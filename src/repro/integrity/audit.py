@@ -5,7 +5,7 @@ This is the offline complement to the read-path validation wired through
 ``SnapshotStore`` / ``InFlightLog`` / ``StandbyState`` / the recovery
 coordinators: restores only validate what they touch; the audit touches
 everything, which is what the ``repro audit`` CLI verb and CI's
-integrity-soak job want.
+``fault-gates`` job want.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.chaos.experiment import SoakJob, deploy, fast_chaos_config
 from repro.errors import IntegrityError
 from repro.integrity.monitor import ARTIFACT_KINDS
 
-__all__ = ["AuditReport", "audit_job"]
+__all__ = ["AuditReport", "audit_job", "audit_matches", "audit_run"]
 
 
 @dataclass
@@ -141,3 +142,36 @@ def _audit_standbys(jm, report: AuditReport) -> None:
                 f"{vertex.name}@{snapshot.checkpoint_id}",
                 exc.detail or str(exc),
             )
+
+
+def audit_run(seed: int = 0, n_records: int = 1200):
+    """Deploy the soak chain and run it to mid-flight, so every artifact
+    class is populated: retained checkpoints, standby images, logged
+    in-flight buffers, determinant replicas.  Returns the job manager."""
+    job = SoakJob(n_records=n_records, rate=1000.0)
+    config = fast_chaos_config(seed=seed, checkpoint_interval=0.25)
+    env, _log, jm = deploy(job, config)
+    env.run(until=n_records / job.rate * 0.6)
+    return jm
+
+
+def audit_matches(kind: str, detail: str, violations) -> bool:
+    """Did the sweep flag the artifact this injection
+    (:func:`~repro.integrity.corruption.random_corruptions`) damaged?"""
+    names = [name for (_kind, name, _detail) in violations]
+    if kind in ("blob_corruption", "torn_write"):
+        task, cid = detail.rsplit("@", 1)
+        return any(detail in n or f"chk/{task}/{cid}" in n for n in names)
+    if kind == "standby_image":
+        return any(
+            vkind == "standby-image" and name == detail
+            for (vkind, name, _d) in violations
+        )
+    if kind == "buffer_bitflip":
+        artifact = detail.rsplit(":", 1)[0]  # strip the mutation suffix
+        return any(artifact in n for n in names)
+    # determinant_truncation: "holder:log@epochN:-k" vs
+    # "holder:stored[victim]:log@epochN"
+    holder, rest = detail.split(":", 1)
+    log_at_epoch = rest.rsplit(":", 1)[0]
+    return any(n.startswith(holder) and log_at_epoch in n for n in names)

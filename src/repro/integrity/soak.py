@@ -1,57 +1,51 @@
 """Integrity soak: corruption fault plans vs. the validation layer.
 
-Mirrors :mod:`repro.chaos.soak` but draws fault plans from the corruption
-palette (:data:`~repro.chaos.plan.CORRUPTION_KINDS`) — silent blob
-corruption, torn DFS writes, in-flight buffer bit-flips, truncated
-determinant replicas — each paired by the plan generator with kills that
-force a recovery to actually read the damaged artifact.
+A schedule generator over the fault-experiment engine
+(:mod:`repro.chaos.experiment`): plans are drawn from the corruption palette
+(:data:`~repro.chaos.plan.CORRUPTION_KINDS`) — silent blob corruption, torn
+DFS writes, in-flight buffer bit-flips, truncated determinant replicas —
+each paired by the plan generator with kills that force a recovery to
+actually read the damaged artifact.
 
 The property under test: **corruption is never silent**.  Every run must end
-
-* ``"exactly-once"`` with no residual undetected corruption, or
-* ``"degraded:global_rollback"`` — the validated fallback ladder announced
-  an older-epoch (or source-replay) restore,
-
-and the closing audit sweep must flag whatever corrupted artifacts were
-never read.  The control experiment (``validate=False``) demonstrates the
-layer is load-bearing: the same plans then produce silent violations the
-verdict catches.
+``transparent`` or ``announced-degradation`` (the validated fallback ladder
+announced an older-epoch or source-replay restore), and the closing audit
+sweep that rides along must flag whatever corrupted artifacts were never
+read.  The control experiment (``validate=False``) demonstrates the layer is
+load-bearing: the same plans then produce silent violations the verdict
+catches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Iterable, List
 
-from repro.chaos.plan import CORRUPTION_KINDS, random_plan
-from repro.chaos.soak import ChaosRunResult, fast_chaos_config, run_chaos_experiment
-from repro.config import JobConfig
+from repro.chaos.experiment import (
+    FaultResult,
+    SoakJob,
+    fast_chaos_config,
+    grade,
+    run_experiment,
+)
+from repro.chaos.plan import CORRUPTION_KINDS
+from repro.chaos.soak import random_faults
 from repro.integrity.audit import AuditReport, audit_job
 
 __all__ = ["IntegrityRunResult", "run_integrity_experiment", "integrity_soak"]
 
 
 @dataclass
-class IntegrityRunResult:
-    """One integrity-soak run: the chaos verdict plus the validation ledger
-    and the closing full-sweep audit."""
+class IntegrityRunResult(FaultResult):
+    """A graded corruption run plus its ride-along checks: the validation
+    ledger and the closing full-sweep audit."""
 
-    chaos: ChaosRunResult
     integrity_summary: Dict[str, object]
     audit: AuditReport = field(repr=False)
-    validate: bool = True
-
-    @property
-    def seed(self) -> int:
-        return self.chaos.seed
-
-    @property
-    def verdict(self) -> str:
-        return self.chaos.verdict
 
     @property
     def corruptions_injected(self) -> int:
-        applied = self.chaos.engine.applied if self.chaos.engine else []
+        applied = self.obs.engine.applied
         return sum(1 for (_t, kind, _x) in applied if kind in CORRUPTION_KINDS)
 
     @property
@@ -62,80 +56,39 @@ class IntegrityRunResult:
             self.audit.violations
         )
 
-    @property
-    def ok(self) -> bool:
-        """The never-silent property for one run: the output is exactly-once
-        or the degradation was announced.  (Residual stored damage is by
-        construction *detected* — the closing audit in ``self.audit`` swept
-        every artifact.)"""
-        return self.chaos.verdict != "violation"
-
-    def __repr__(self) -> str:  # compact: the dataclass default drags the jm in
-        return (
-            f"IntegrityRunResult(seed={self.seed}, verdict={self.verdict!r}, "
-            f"injected={self.corruptions_injected}, detected={self.detected}, "
-            f"validate={self.validate})"
-        )
-
 
 def run_integrity_experiment(
     seed: int,
     validate: bool = True,
-    config: Optional[JobConfig] = None,
     max_faults: int = 2,
-    horizon: Optional[float] = None,
-    **run_kwargs,
+    n_records: int = 1200,
+    limit: float = 120.0,
 ) -> IntegrityRunResult:
     """One corruption-chaos run.  ``validate=False`` is the control arm:
     checksums still exist but nothing checks them, so injected corruption
     flows into restores silently — the verdict then shows the violation the
     validation layer exists to prevent."""
-    if config is None:
-        # Quicker checkpoints and a slower source than the generic chaos
-        # soak: corruption needs stored artifacts to damage and a run still
-        # in progress when the paired kill forces the validated restore.
-        config = fast_chaos_config(seed=seed, checkpoint_interval=0.25)
+    # Quicker checkpoints and a slower source than the generic chaos soak:
+    # corruption needs stored artifacts to damage and a run still in
+    # progress when the paired kill forces the validated restore.
+    config = fast_chaos_config(seed=seed, checkpoint_interval=0.25)
     config.integrity.validate = validate
-    run_kwargs.setdefault("rate", 1000.0)
-    n_records = run_kwargs.get("n_records", 1200)
-    rate = run_kwargs.get("rate", 2000.0)
-    window = horizon if horizon is not None else n_records / rate + 0.5
-
-    def plan_factory(jm):
-        return random_plan(
-            seed,
-            window,
-            task_names=sorted(jm.vertices),
-            max_faults=max_faults,
-            kinds=sorted(CORRUPTION_KINDS),
-        )
-
-    chaos = run_chaos_experiment(plan_factory, config=config, **run_kwargs)
-    jm = chaos.jm
-    summary = jm.integrity.summary()
-    report = audit_job(jm)
+    job = SoakJob(n_records=n_records, rate=1000.0)
+    faults = random_faults(
+        seed, n_records / job.rate + 0.5, max_faults, kinds=sorted(CORRUPTION_KINDS)
+    )
+    result = grade(seed, run_experiment(job, faults, config, limit))
+    jm = result.obs.jm
     return IntegrityRunResult(
-        chaos=chaos,
-        integrity_summary=summary,
-        audit=report,
-        validate=validate,
+        **vars(result),
+        integrity_summary=jm.integrity.summary(),
+        audit=audit_job(jm),
     )
 
 
 def integrity_soak(
-    seeds,
-    validate: bool = True,
-    config_factory: Optional[Callable[[int], JobConfig]] = None,
-    **run_kwargs,
+    seeds: Iterable[int], n_records: int = 1200
 ) -> List[IntegrityRunResult]:
     """One corruption experiment per seed (each seed fully determines the
     plan and the job, so any failure replays under the same seed)."""
-    results = []
-    for seed in seeds:
-        config = config_factory(seed) if config_factory is not None else None
-        results.append(
-            run_integrity_experiment(
-                seed, validate=validate, config=config, **run_kwargs
-            )
-        )
-    return results
+    return [run_integrity_experiment(seed, n_records=n_records) for seed in seeds]

@@ -258,19 +258,6 @@ class WorkloadSpec:
         """Failure-free ingest time (the window faults should land in)."""
         return self.n_records / self.rate
 
-    def cache_key(self) -> Tuple:
-        return (
-            self.depth,
-            self.parallelism,
-            self.n_records,
-            self.rate,
-            self.state_bytes,
-            self.num_keys,
-            self.zones,
-            self.spare_nodes,
-            repr(_shaping_to_dict(self.shaping)),
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "shaping"}
         out["shaping"] = _shaping_to_dict(self.shaping)

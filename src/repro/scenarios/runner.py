@@ -1,78 +1,66 @@
 """Execute scenarios and grade their verdicts.
 
-Each run mirrors the chaos soak harness (synthetic nondeterministic chain,
-exactly-once sink) but adds: a zoned cluster with spare nodes, workload
-shaping, a failure-free *baseline* run (cached per workload) whose output
-digest and duration anchor the verdict, and a deterministic transcript
-digest — the same scenario + seed reproduces the same transcript byte for
-byte, so a failing scenario replays exactly under ``repro scenarios
---only <name>``.
+A scenario is one more schedule generator over the fault-experiment engine
+(:mod:`repro.chaos.experiment`): its phases flatten to a fault plan, its
+workload to the soak chain on a zoned cluster with spare nodes, and the
+engine's verdict becomes the ``output`` check.  What rides along is
+scenario-specific: the failure-free baseline's duration anchors the
+overhead figure, a recovery-time budget, the watchdog's stall verdict, and a
+deterministic transcript digest — the same scenario + seed reproduces the
+same transcript byte for byte, so a failing scenario replays exactly under
+``repro scenarios --only <name>``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.engine import ChaosEngine
-from repro.chaos.soak import (
-    DEGRADATION_MARKERS,
+from repro.chaos.experiment import (
+    FaultResult,
+    baseline,
+    SoakJob,
     fast_chaos_config,
-    output_projection,
+    grade,
+    run_experiment,
 )
-from repro.errors import JobError, ScenarioError
-from repro.external.kafka import DurableLog
+from repro.errors import ScenarioError
 from repro.metrics.collectors import stall_summary
-from repro.runtime.cluster import Cluster
-from repro.runtime.jobmanager import JobManager
-from repro.scenarios.model import Scenario, WorkloadSpec
-from repro.sim.core import Environment
-from repro.workloads.synthetic import synthetic_chain
-
-IN_TOPIC = "scenario-in"
-OUT_TOPIC = "scenario-out"
-
-#: Failure-free baseline cache: (workload key, seed, interval) ->
-#: (projection Counter, duration).  Scenarios sharing a workload pay for
-#: one baseline run, not one per scenario.
-_BASELINE_CACHE: Dict[Tuple, Tuple[Counter, float]] = {}
+from repro.scenarios.model import Scenario
 
 
 @dataclass
-class ScenarioResult:
-    """One scenario run, graded."""
+class ScenarioResult(FaultResult):
+    """One scenario run, graded: the engine's verdict plus the per-check
+    ledger (``completed``, ``output``, ``recovery``, ``watchdog``)."""
 
-    name: str
-    verdict: str  # "pass" | "fail"
     checks: Dict[str, str]  # check name -> "ok" | "fail: <detail>"
     seed: int
-    duration: float
     baseline_duration: float
-    expected: int
-    delivered: int
-    missing: int
-    duplicated: int
-    quarantined: int
-    degradations: int
     recovery_time: Optional[float]
     transcript_digest: str
-    chaos_summary: Dict[str, object] = field(default_factory=dict)
-    recovery_events: List[Tuple[float, str, str]] = field(
-        default_factory=list, repr=False
-    )
+    chaos_summary: Dict[str, object]
+
+    @property
+    def name(self) -> str:
+        return self.label
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.ok else "fail"
 
     @property
     def ok(self) -> bool:
-        return self.verdict == "pass"
+        return all(status == "ok" for status in self.checks.values())
 
     @property
     def duration_overhead(self) -> float:
         """Wall-clock (simulated) cost of the incident vs. failure-free."""
         if self.baseline_duration <= 0:
             return 0.0
-        return self.duration / self.baseline_duration
+        return self.obs.duration / self.baseline_duration
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -80,64 +68,21 @@ class ScenarioResult:
             "verdict": self.verdict,
             "checks": dict(self.checks),
             "seed": self.seed,
-            "duration_s": round(self.duration, 6),
+            "duration_s": round(self.obs.duration, 6),
             "baseline_duration_s": round(self.baseline_duration, 6),
             "duration_overhead": round(self.duration_overhead, 4),
             "expected": self.expected,
             "delivered": self.delivered,
             "missing": self.missing,
             "duplicated": self.duplicated,
-            "quarantined": self.quarantined,
-            "degradations": self.degradations,
+            "quarantined": len(self.obs.quarantined),
+            "degradations": len(self.obs.degradations),
             "recovery_time_s": None
             if self.recovery_time is None
             else round(self.recovery_time, 6),
             "transcript_digest": self.transcript_digest,
             "chaos": dict(self.chaos_summary),
         }
-
-
-def _build_job(workload: WorkloadSpec, seed: int, checkpoint_interval: float):
-    config = fast_chaos_config(seed=seed, checkpoint_interval=checkpoint_interval)
-    env = Environment()
-    log = DurableLog()
-    graph = synthetic_chain(
-        log,
-        depth=workload.depth,
-        parallelism=workload.parallelism,
-        rate_per_partition=workload.rate,
-        total_per_partition=workload.n_records,
-        state_bytes_per_task=workload.state_bytes,
-        num_keys=workload.num_keys,
-        nondeterministic=True,
-        in_topic=IN_TOPIC,
-        out_topic=OUT_TOPIC,
-        exactly_once_sink=True,
-        shaping=workload.shaping,
-    )
-    cluster = Cluster(
-        num_nodes=max(4, graph.total_tasks) + workload.spare_nodes,
-        slots_per_node=2,
-        zones=workload.zones,
-    )
-    jm = JobManager(env, graph, config, cluster=cluster)
-    return env, log, jm
-
-
-def _baseline(workload: WorkloadSpec, seed: int, interval: float) -> Tuple[Counter, float]:
-    key = (workload.cache_key(), seed, interval)
-    cached = _BASELINE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    env, log, jm = _build_job(workload, seed, interval)
-    jm.deploy()
-    jm.run_until_done(limit=120.0)
-    projection = output_projection(
-        entry.value for entry in log.read_all(OUT_TOPIC)
-    )
-    result = (projection, env.now)
-    _BASELINE_CACHE[key] = result
-    return result
 
 
 def _transcript_digest(
@@ -186,109 +131,54 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> ScenarioResu
     """Run one scenario and grade it against its verdict spec."""
     scenario.validate()
     run_seed = scenario.seed if seed is None else seed
-    plan = scenario.fault_plan(seed=run_seed)
-    baseline_projection, baseline_duration = _baseline(
-        scenario.workload, run_seed, scenario.checkpoint_interval
+    workload, spec = scenario.workload, scenario.verdict
+    job = SoakJob(**{f.name: getattr(workload, f.name) for f in fields(workload)})
+    reference = baseline(job, run_seed, scenario.checkpoint_interval)
+    config = fast_chaos_config(
+        seed=run_seed, checkpoint_interval=scenario.checkpoint_interval
+    )
+    obs = run_experiment(
+        job, scenario.fault_plan(seed=run_seed), config, scenario.limit
+    )
+    result = grade(
+        scenario.name, obs, strict=not spec.allow_announced_divergence
     )
 
-    env, log, jm = _build_job(
-        scenario.workload, run_seed, scenario.checkpoint_interval
-    )
-    jm.deploy()
-    engine = ChaosEngine(jm, plan)
-    engine.arm()
-    checks: Dict[str, str] = {}
-    try:
-        jm.run_until_done(limit=scenario.limit)
-        checks["completed"] = "ok"
-    except JobError as exc:
-        checks["completed"] = f"fail: {exc}"
-
-    projection = output_projection(
-        entry.value for entry in log.read_all(OUT_TOPIC)
-    )
-    missing = [pair for pair in baseline_projection if projection[pair] == 0]
-    extra = [pair for pair in projection if pair not in baseline_projection]
-    duplicated = {pair: c for pair, c in projection.items() if c > 1}
-    degradations = [
-        (t, kind, who)
-        for (t, kind, who) in jm.recovery_events
-        if kind in DEGRADATION_MARKERS
-    ]
-    quarantined = {ident for (_task, ident) in jm.poison.quarantine_log}
-
-    # -- output check -------------------------------------------------------
-    verdict_spec = scenario.verdict
-    if extra:
-        checks["output"] = f"fail: {len(extra)} records outside the baseline set"
-    elif verdict_spec.allow_announced_divergence:
-        unannounced_loss = [pair for pair in missing if pair not in quarantined]
-        if unannounced_loss:
-            checks["output"] = (
-                f"fail: {len(unannounced_loss)} records silently lost"
-            )
-        elif duplicated and not degradations:
-            checks["output"] = (
-                f"fail: {sum(c - 1 for c in duplicated.values())} duplicates "
-                "without an announced degradation"
-            )
-        else:
-            checks["output"] = "ok"
-    else:
-        if missing or duplicated:
-            checks["output"] = (
-                f"fail: missing={len(missing)} "
-                f"duplicated={sum(c - 1 for c in duplicated.values())}"
-            )
-        else:
-            checks["output"] = "ok"
-
-    # -- recovery-time check ------------------------------------------------
-    spans = _recovery_spans(jm.recovery_events, env.now)
-    worst = max((s for _w, s in spans), default=None)
-    if verdict_spec.max_recovery_s is not None:
-        slow = [
-            (who, s) for who, s in spans if s > verdict_spec.max_recovery_s
-        ]
-        if slow:
-            who, s = max(slow, key=lambda x: x[1])
-            checks["recovery"] = (
-                f"fail: {who} took {s:.3f}s "
-                f"(budget {verdict_spec.max_recovery_s:g}s)"
-            )
-        else:
-            checks["recovery"] = "ok"
-
-    # -- watchdog check -----------------------------------------------------
-    if verdict_spec.require_watchdog_ok:
-        stall = stall_summary(jm)
+    checks = {
+        "completed": "ok" if obs.error is None else f"fail: {obs.error}",
+        "output": "ok" if result.ok else f"fail: {result.outcome}: {result.detail}",
+    }
+    spans = _recovery_spans(obs.recovery_events, obs.duration)
+    if spec.max_recovery_s is not None:
+        who, worst = max(spans, key=lambda x: x[1], default=(None, 0.0))
+        checks["recovery"] = (
+            f"fail: {who} took {worst:.3f}s (budget {spec.max_recovery_s:g}s)"
+            if worst > spec.max_recovery_s
+            else "ok"
+        )
+    if spec.require_watchdog_ok:
+        stall = stall_summary(obs.jm)
         checks["watchdog"] = (
             "ok"
             if stall["verdict"] == "ok"
             else f"fail: {stall['stalls_detected']} stalls detected"
         )
-
-    digest = _transcript_digest(
-        run_seed, jm.recovery_events, engine.applied + engine.skipped, projection
-    )
-    failed = [name for name, status in checks.items() if status != "ok"]
+    failed = [f"{name}: {status}" for name, status in checks.items() if status != "ok"]
+    engine = obs.engine
+    obs.release()
     return ScenarioResult(
-        name=scenario.name,
-        verdict="fail" if failed else "pass",
+        **{**vars(result), "detail": "; ".join(failed)},
         checks=checks,
         seed=run_seed,
-        duration=env.now,
-        baseline_duration=baseline_duration,
-        expected=sum(baseline_projection.values()),
-        delivered=sum(projection.values()),
-        missing=len(missing),
-        duplicated=sum(c - 1 for c in duplicated.values()),
-        quarantined=len(quarantined),
-        degradations=len(degradations),
-        recovery_time=worst,
-        transcript_digest=digest,
+        baseline_duration=reference.duration,
+        recovery_time=max((s for _w, s in spans), default=None),
+        transcript_digest=_transcript_digest(
+            run_seed,
+            obs.recovery_events,
+            engine.applied + engine.skipped,
+            obs.projection,
+        ),
         chaos_summary=engine.summary(),
-        recovery_events=list(jm.recovery_events),
     )
 
 

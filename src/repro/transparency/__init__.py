@@ -19,7 +19,6 @@ loss never).  See DESIGN.md, "Failure transparency as a checkable property".
 """
 
 from repro.transparency.explorer import (
-    CaseResult,
     FailurePoint,
     Topology,
     TransparencyReport,
@@ -31,7 +30,6 @@ from repro.transparency.explorer import (
 )
 
 __all__ = [
-    "CaseResult",
     "FailurePoint",
     "Topology",
     "TransparencyReport",

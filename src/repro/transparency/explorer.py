@@ -12,16 +12,12 @@ graphs small enough to enumerate completely:
     classic silent-loss / silent-duplication hazards), plus — with
     ``compound=True`` — every unordered task pair killed in overlapping
     recovery (failure-during-ongoing-recovery).
-3.  Re-run the topology once per failure point and verdict the sink output
-    against the baseline's origin projection:
-
-    * ``transparent`` — output observationally equivalent to the
-      failure-free run (origin projection identical: exactly-once).
-    * ``announced-degradation`` — duplicates, but the run *recorded* a
-      degradation marker and lost nothing: the divergence is announced,
-      which the transparency contract permits (at-least-once fallback).
-    * ``violation:*`` — silent loss, silent duplication, foreign records,
-      a recovery stall, or a hang.  Any of these fails the suite.
+3.  Re-run the topology once per failure point through the shared
+    fault-experiment engine and grade the sink output against the
+    failure-free origin projection (:mod:`repro.chaos.experiment` defines
+    the ``transparent | announced-degradation | violation:* | skipped:*``
+    vocabulary).  Any ``violation:*`` fails the suite; a kill that never
+    landed is reported ``skipped:*`` so coverage holes stay visible.
 
 Every run is fully deterministic (sim time, seeded services), so a
 violating case replays identically from its printed label.
@@ -29,20 +25,24 @@ violating case replays identically from its printed label.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.chaos.soak import DEGRADATION_MARKERS, fast_chaos_config
-from repro.config import JobConfig
+from repro.chaos.experiment import (
+    IN_TOPIC,
+    OUT_TOPIC,
+    Baseline,
+    FaultResult,
+    SoakJob,
+    baseline,
+    fast_chaos_config,
+    grade,
+    run_experiment,
+)
 from repro.core.output import ExactlyOnceKafkaSink
-from repro.errors import FailureInjectionError, JobError, RecoveryStallError
 from repro.external.kafka import DurableLog
 from repro.graph.logical import JobGraph, JobGraphBuilder
 from repro.operators import KafkaSource
-from repro.runtime.jobmanager import JobManager
-from repro.sim.core import Environment
-from repro.workloads.synthetic import synthetic_chain
 
 #: Kill this close to either side of a snapshot instant.  Half the failure
 #: detector's resolution: close enough that the barrier is in flight,
@@ -53,90 +53,57 @@ EPSILON = 0.02
 #: the first victim's recovery window (detection alone costs ~0.02-0.5s).
 PAIR_STAGGER = 0.08
 
+#: One fixed seed and checkpoint interval for every topology: the baseline
+#: and every failure case must share the failure-free prefix, or snapshot
+#: instants harvested from the baseline would not line up with the case
+#: being killed.
+SEED = 11
+CHECKPOINT_INTERVAL = 0.25
+
 
 @dataclass(frozen=True)
 class Topology:
     """One small graph the explorer enumerates exhaustively."""
 
     name: str
-    build: Callable[[DurableLog], JobGraph] = field(compare=False)
-    parallelism: int = 1
-    n_records: int = 600
-    out_topic: str = "transparency-out"
-    operators: int = 2  # logical operator count, for reporting
-
-    def config(self, limit_interval: float = 0.25) -> JobConfig:
-        # One fixed seed per topology: the baseline and every failure case
-        # must share the failure-free prefix, or snapshot instants harvested
-        # from the baseline would not line up with the case being killed.
-        return fast_chaos_config(seed=11, checkpoint_interval=limit_interval)
+    job: SoakJob
+    operators: int  # logical operator count, for reporting
 
 
-def _pair_graph(
-    log: DurableLog,
-    parallelism: int,
-    n_records: int,
-    rate: float,
-    out_topic: str,
-) -> JobGraph:
+class PairJob(SoakJob):
     """The minimal 2-operator topology: src -> (keyed) -> exactly-once sink."""
-    in_topic = "transparency-in"
-    if (in_topic, 0) not in log._partitions:
+
+    def build(self, log: DurableLog) -> JobGraph:
+        parallelism = self.parallelism
         log.create_generated_topic(
-            in_topic, parallelism, lambda p, off: (p, off), rate, n_records
+            IN_TOPIC, parallelism, lambda p, off: (p, off), self.rate, self.n_records
         )
-    if (out_topic, 0) not in log._partitions:
-        log.create_topic(out_topic, parallelism)
-    builder = JobGraphBuilder(f"pair-p{parallelism}")
-    stream = builder.source(
-        "src", lambda: KafkaSource(log, in_topic), parallelism=parallelism
-    )
-    stream.key_by(lambda v: v[1] % parallelism).sink(
-        "sink", lambda: ExactlyOnceKafkaSink(log, out_topic)
-    )
-    return builder.build()
+        log.create_topic(OUT_TOPIC, parallelism)
+        builder = JobGraphBuilder(f"pair-p{parallelism}")
+        stream = builder.source(
+            "src", lambda: KafkaSource(log, IN_TOPIC), parallelism=parallelism
+        )
+        stream.key_by(lambda v: v[1] % parallelism).sink(
+            "sink", lambda: ExactlyOnceKafkaSink(log, OUT_TOPIC)
+        )
+        return builder.build()
 
 
-def _chain_graph(
-    log: DurableLog,
-    depth: int,
-    parallelism: int,
-    n_records: int,
-    rate: float,
-    out_topic: str,
-) -> JobGraph:
-    return synthetic_chain(
-        log,
-        depth=depth,
-        parallelism=parallelism,
-        rate_per_partition=rate,
-        total_per_partition=n_records,
-        state_bytes_per_task=4096,
-        num_keys=8,
-        nondeterministic=True,
-        in_topic="transparency-in",
-        out_topic=out_topic,
-        exactly_once_sink=True,
-    )
-
-
-def default_topologies(rate: float = 1000.0) -> List[Topology]:
+def default_topologies(rate: float = 1000.0, n_records: int = 600) -> List[Topology]:
     """The 2-, 3- and 4-operator graphs the suite explores by default."""
 
-    def pair(log, n=600, p=1):
-        return _pair_graph(log, p, n, rate, "transparency-out")
-
-    def chain(depth, p):
-        def build(log, n=600):
-            return _chain_graph(log, depth, p, n, rate, "transparency-out")
-
-        return build
+    def chain(depth: int, parallelism: int) -> SoakJob:
+        return SoakJob(depth, parallelism, n_records, rate, state_bytes=4096, num_keys=8)
 
     return [
-        Topology("pair-p1", pair, parallelism=1, operators=2),
-        Topology("chain3-p1", chain(2, 1), parallelism=1, operators=3),
-        Topology("chain4-p1", chain(3, 1), parallelism=1, operators=4),
-        Topology("chain3-p2", chain(2, 2), parallelism=2, operators=3),
+        Topology(
+            "pair-p1",
+            PairJob(parallelism=1, n_records=n_records, rate=rate),
+            operators=2,
+        ),
+        Topology("chain3-p1", chain(2, 1), operators=3),
+        Topology("chain4-p1", chain(3, 1), operators=4),
+        Topology("chain3-p2", chain(2, 2), operators=3),
     ]
 
 
@@ -149,119 +116,34 @@ class FailurePoint:
 
 
 @dataclass
-class CaseResult:
-    """One failure point's verdict."""
-
-    point: FailurePoint
-    outcome: str  # "transparent" | "announced-degradation" | "skipped:*" | "violation:*"
-    missing: int = 0
-    duplicated: int = 0
-    extra: int = 0
-    duration: float = 0.0
-    announced: bool = False
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return not self.outcome.startswith("violation")
-
-
-@dataclass
-class Baseline:
-    """Failure-free run artifacts: the equivalence reference."""
-
-    projection: Counter
-    duration: float
-    #: (task, checkpoint_id) -> local snapshot instant
-    snapshot_times: Dict[Tuple[str, int], float]
-    #: checkpoint_id -> completion instant, ascending ids
-    completed: Dict[int, float]
-    tasks: Tuple[str, ...]
-
-
-@dataclass
 class TransparencyReport:
     """All verdicts for one topology."""
 
-    topology: str
-    operators: int
-    tasks: int
-    expected: int
-    baseline_duration: float
-    cases: List[CaseResult] = field(default_factory=list)
+    topo: Topology
+    baseline: Baseline
+    cases: List[FaultResult] = field(default_factory=list)
+    #: case label (``topology/point``) -> its kill schedule, so a violating
+    #: case replays from the payload alone
+    points: Dict[str, FailurePoint] = field(default_factory=dict)
+
+    def tally(self) -> Dict[str, int]:
+        """Case counts per outcome class, keyed as the JSON payload is."""
+        outcomes = [c.outcome for c in self.cases]
+        return {
+            "cases": len(outcomes),
+            "transparent": outcomes.count("transparent"),
+            "announced_degradation": outcomes.count("announced-degradation"),
+            "skipped": sum(o.startswith("skipped") for o in outcomes),
+            "violations": len(self.violations),
+        }
 
     @property
-    def violations(self) -> List[CaseResult]:
+    def violations(self) -> List[FaultResult]:
         return [c for c in self.cases if not c.ok]
-
-    @property
-    def transparent(self) -> int:
-        return sum(c.outcome == "transparent" for c in self.cases)
-
-    @property
-    def announced(self) -> int:
-        return sum(c.outcome == "announced-degradation" for c in self.cases)
-
-    @property
-    def skipped(self) -> int:
-        return sum(c.outcome.startswith("skipped") for c in self.cases)
-
-
-def _deploy(topo: Topology) -> Tuple[Environment, DurableLog, JobManager]:
-    env = Environment()
-    log = DurableLog()
-    graph = topo.build(log)
-    jm = JobManager(env, graph, topo.config())
-    jm.deploy()
-    return env, log, jm
-
-
-def _projection(log: DurableLog, out_topic: str) -> Counter:
-    return Counter((e.value[0], e.value[1]) for e in log.read_all(out_topic))
-
-
-def _expected(topo: Topology) -> set:
-    return {
-        (p, off)
-        for p in range(topo.parallelism)
-        for off in range(topo.n_records)
-    }
-
-
-def run_baseline(topo: Topology, limit: float = 60.0) -> Baseline:
-    """The failure-free reference run; raises on non-exactly-once output
-    (that would be a workload bug, not a transparency violation)."""
-    env, log, jm = _deploy(topo)
-    jm.run_until_done(limit=limit)
-    projection = _projection(log, topo.out_topic)
-    expected = _expected(topo)
-    if set(projection) != expected or any(c != 1 for c in projection.values()):
-        raise JobError(
-            f"transparency baseline for {topo.name!r} is not exactly-once: "
-            f"{len(expected)} expected, {sum(projection.values())} delivered"
-        )
-    snapshot_times: Dict[Tuple[str, int], float] = {}
-    completed: Dict[int, float] = {}
-    for event in jm.trace:
-        if event.kind == "snapshot-taken":
-            cid = event.arg("checkpoint_id")
-            if cid is not None:
-                snapshot_times.setdefault((event.subject, cid), event.time)
-        elif event.kind == "checkpoint-complete":
-            cid = event.arg("checkpoint_id")
-            if cid is not None:
-                completed.setdefault(cid, event.time)
-    return Baseline(
-        projection=projection,
-        duration=env.now,
-        snapshot_times=snapshot_times,
-        completed=dict(sorted(completed.items())),
-        tasks=tuple(sorted(jm.vertices)),
-    )
 
 
 def enumerate_failure_points(
-    baseline: Baseline,
+    reference: Baseline,
     boundaries: int = 2,
     compound: bool = True,
 ) -> List[FailurePoint]:
@@ -273,10 +155,10 @@ def enumerate_failure_points(
     later — inside the first recovery.
     """
     points: List[FailurePoint] = []
-    epoch_ids = list(baseline.completed)[:boundaries]
-    for task in baseline.tasks:
+    epoch_ids = list(reference.completed)[:boundaries]
+    for task in reference.tasks:
         for cid in epoch_ids:
-            snap = baseline.snapshot_times.get((task, cid))
+            snap = reference.snapshot_times.get((task, cid))
             if snap is None:
                 continue
             for side, offset in (("pre", -EPSILON), ("post", EPSILON)):
@@ -289,11 +171,11 @@ def enumerate_failure_points(
                 )
     if compound and epoch_ids:
         first = epoch_ids[0]
-        for i, a in enumerate(baseline.tasks):
-            snap_a = baseline.snapshot_times.get((a, first))
+        for i, a in enumerate(reference.tasks):
+            snap_a = reference.snapshot_times.get((a, first))
             if snap_a is None:
                 continue
-            for b in baseline.tasks[i + 1 :]:
+            for b in reference.tasks[i + 1 :]:
                 t0 = max(0.01, snap_a + EPSILON)
                 points.append(
                     FailurePoint(
@@ -304,77 +186,19 @@ def enumerate_failure_points(
     return points
 
 
-def run_case(
-    topo: Topology,
-    point: FailurePoint,
-    expected: set,
-    limit: float = 60.0,
-) -> CaseResult:
+def run_case(topo: Topology, point: FailurePoint, limit: float = 60.0) -> FaultResult:
     """One kill schedule against a fresh deployment of the topology."""
-    env, log, jm = _deploy(topo)
-    for at, victim in point.kills:
-        env.schedule_callback(
-            at, lambda name=victim: jm.kill_task(name, force=True)
-        )
-    try:
-        jm.run_until_done(limit=limit)
-    except FailureInjectionError as exc:
-        # The victim finished before the kill could land — nothing to
-        # observe.  Not a pass, not a failure; reported so coverage holes
-        # are visible.
-        return CaseResult(point, "skipped:victim-finished", detail=str(exc))
-    except RecoveryStallError as exc:
-        return CaseResult(
-            point,
-            "violation:recovery-stalled",
-            duration=env.now,
-            detail=str(exc),
-        )
-    except JobError as exc:
-        return CaseResult(
-            point, "violation:hang", duration=env.now, detail=str(exc)
-        )
 
-    landed = len(jm.failures_injected)
-    if landed < len(point.kills):
-        # The victim finished (or the job ended) before every kill could
-        # land, so this point probed nothing.  Reported as a coverage hole,
-        # never silently counted as transparent.
-        return CaseResult(
-            point,
-            "skipped:kill-not-landed",
-            duration=env.now,
-            detail=f"{landed}/{len(point.kills)} kills landed",
-        )
+    def schedule_kills(jm):
+        for at, victim in point.kills:
+            jm.env.schedule_callback(
+                at, lambda name=victim: jm.kill_task(name, force=True)
+            )
 
-    projection = _projection(log, topo.out_topic)
-    missing = sum(1 for pair in expected if projection[pair] == 0)
-    extra = sum(c for pair, c in projection.items() if pair not in expected)
-    duplicated = sum(
-        c - 1 for pair, c in projection.items() if pair in expected and c > 1
-    )
-    announced = any(
-        kind in DEGRADATION_MARKERS for (_t, kind, _who) in jm.recovery_events
-    )
-    if missing:
-        outcome = "violation:data-loss"
-    elif extra:
-        outcome = "violation:alien-output"
-    elif duplicated and not announced:
-        outcome = "violation:silent-duplication"
-    elif duplicated:
-        outcome = "announced-degradation"
-    else:
-        outcome = "transparent"
-    return CaseResult(
-        point,
-        outcome,
-        missing=missing,
-        duplicated=duplicated,
-        extra=extra,
-        duration=env.now,
-        announced=announced,
-    )
+    config = fast_chaos_config(seed=SEED, checkpoint_interval=CHECKPOINT_INTERVAL)
+    obs = run_experiment(topo.job, schedule_kills, config, limit)
+    obs.release()
+    return grade(f"{topo.name}/{point.label}", obs, kills_planned=len(point.kills))
 
 
 def explore_topology(
@@ -382,25 +206,14 @@ def explore_topology(
     boundaries: int = 2,
     compound: bool = True,
     limit: float = 60.0,
-    on_case: Optional[Callable[[CaseResult], None]] = None,
 ) -> TransparencyReport:
     """Baseline + the full failure-point matrix for one topology."""
-    baseline = run_baseline(topo, limit=limit)
-    expected = _expected(topo)
-    report = TransparencyReport(
-        topology=topo.name,
-        operators=topo.operators,
-        tasks=len(baseline.tasks),
-        expected=len(expected),
-        baseline_duration=baseline.duration,
-    )
-    for point in enumerate_failure_points(
-        baseline, boundaries=boundaries, compound=compound
-    ):
-        result = run_case(topo, point, expected, limit=limit)
-        report.cases.append(result)
-        if on_case is not None:
-            on_case(result)
+    reference = baseline(topo.job, SEED, CHECKPOINT_INTERVAL, limit)
+    report = TransparencyReport(topo, reference)
+    for point in enumerate_failure_points(reference, boundaries, compound):
+        case = run_case(topo, point, limit=limit)
+        report.points[case.label] = point
+        report.cases.append(case)
     return report
 
 
@@ -409,17 +222,10 @@ def run_transparency_suite(
     boundaries: int = 2,
     compound: bool = True,
     limit: float = 60.0,
-    on_case: Optional[Callable[[CaseResult], None]] = None,
 ) -> List[TransparencyReport]:
     """The whole suite: every topology's exhaustive matrix."""
     return [
-        explore_topology(
-            topo,
-            boundaries=boundaries,
-            compound=compound,
-            limit=limit,
-            on_case=on_case,
-        )
+        explore_topology(topo, boundaries, compound, limit)
         for topo in (topologies if topologies is not None else default_topologies())
     ]
 
@@ -429,33 +235,30 @@ def suite_payload(reports: Iterable[TransparencyReport]) -> dict:
     plus every violating case spelled out (kill schedule included, so the
     case replays from the payload alone)."""
     reports = list(reports)
-    payload = {
+    tallies = [r.tally() for r in reports]
+    return {
         "suite": "transparency",
         "topologies": [
             {
-                "name": r.topology,
-                "operators": r.operators,
-                "tasks": r.tasks,
-                "expected_records": r.expected,
-                "baseline_duration_s": round(r.baseline_duration, 6),
-                "cases": len(r.cases),
-                "transparent": r.transparent,
-                "announced_degradation": r.announced,
-                "skipped": r.skipped,
-                "violations": len(r.violations),
+                "name": r.topo.name,
+                "operators": r.topo.operators,
+                "tasks": len(r.baseline.tasks),
+                "expected_records": len(r.topo.job.expected),
+                "baseline_duration_s": round(r.baseline.duration, 6),
+                **tally,
             }
-            for r in reports
+            for r, tally in zip(reports, tallies)
         ],
-        "cases_total": sum(len(r.cases) for r in reports),
-        "transparent": sum(r.transparent for r in reports),
-        "announced_degradation": sum(r.announced for r in reports),
-        "skipped": sum(r.skipped for r in reports),
-        "violations": sum(len(r.violations) for r in reports),
+        "cases_total": sum(t["cases"] for t in tallies),
+        **{
+            key: sum(t[key] for t in tallies)
+            for key in ("transparent", "announced_degradation", "skipped", "violations")
+        },
         "violating_cases": [
             {
-                "topology": r.topology,
-                "case": c.point.label,
-                "kills": [list(k) for k in c.point.kills],
+                "topology": r.topo.name,
+                "case": r.points[c.label].label,
+                "kills": [list(k) for k in r.points[c.label].kills],
                 "outcome": c.outcome,
                 "missing": c.missing,
                 "duplicated": c.duplicated,
@@ -466,4 +269,3 @@ def suite_payload(reports: Iterable[TransparencyReport]) -> dict:
             for c in r.violations
         ],
     }
-    return payload

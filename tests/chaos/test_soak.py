@@ -1,33 +1,34 @@
 """The chaos soak, property-style: random fault schedules against the
 recovery protocol.
 
-The acceptance property: every run either preserves the failure-free output
-(exactly-once on input origins) or explicitly records its degradation to
-global-rollback semantics (at-least-once) — never silent loss, never silent
-duplication, never a hang (``run_until_done`` raises on the deadline, which
-Hypothesis reports as a failure with the offending seed).
+The acceptance property: every run is ``transparent`` (exactly-once on
+input origins) or an ``announced-degradation`` to global-rollback semantics
+(at-least-once) — never silent loss, never silent duplication, never a hang
+(a deadline expiry grades ``violation:recovery-stalled``, which Hypothesis
+reports as a failure with the offending seed).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import FaultPlan
-from repro.chaos.soak import (
+from repro.chaos import FaultPlan, chaos_soak
+from repro.chaos.experiment import (
     DEGRADATION_MARKERS,
-    chaos_soak,
+    SoakJob,
     fast_chaos_config,
-    run_chaos_experiment,
+    grade,
+    run_experiment,
 )
 
 LIMIT = 120.0
 
 
 def describe(result):
+    chaos = result.obs.engine.summary()
     return (
-        f"seed {result.seed}: verdict={result.verdict} "
+        f"seed {result.label}: outcome={result.outcome} ({result.detail}) "
         f"missing={result.missing} duplicated={result.duplicated} "
-        f"faults={result.chaos_summary.get('applied')} "
-        f"({result.chaos_summary.get('kinds')})"
+        f"faults={chaos.get('applied')} ({chaos.get('kinds')})"
     )
 
 
@@ -39,10 +40,10 @@ def describe(result):
 def test_random_fault_schedules_never_violate(seed, max_faults):
     [result] = chaos_soak([seed], max_faults=max_faults, limit=LIMIT)
     assert result.ok, describe(result)
-    assert result.duration < LIMIT
-    if result.verdict != "exactly-once":
+    assert result.obs.duration < LIMIT
+    if result.outcome != "transparent":
         # Degradation is only acceptable when announced.
-        assert result.degradations, describe(result)
+        assert result.obs.degradations, describe(result)
 
 
 @st.composite
@@ -82,12 +83,11 @@ def test_faults_during_ongoing_recovery_never_violate(params):
             "task_kill",
             target=params["victim"],
         )
-    result = run_chaos_experiment(
-        plan, config=fast_chaos_config(seed=params["seed"]), limit=LIMIT
-    )
+    config = fast_chaos_config(seed=params["seed"])
+    result = grade(params["seed"], run_experiment(SoakJob(), plan, config, LIMIT))
     assert result.ok, describe(result)
-    assert result.duration < LIMIT
-    kills = [k for (_t, k, _w) in result.recovery_events if k == "chaos:task_kill"]
+    assert result.obs.duration < LIMIT
+    kills = [k for (_t, k, _w) in result.obs.recovery_events if k == "chaos:task_kill"]
     assert kills, "the kill must actually apply"
 
 
@@ -101,7 +101,7 @@ def test_degraded_runs_announce_themselves():
         .add(0.20, "standby_loss", target="stage1[0]")
         .add(0.25, "task_kill", target="stage1[0]")
     )
-    result = run_chaos_experiment(plan, config=config, limit=LIMIT)
-    assert result.verdict == "degraded:global_rollback", describe(result)
-    assert any(k in DEGRADATION_MARKERS for (_t, k, _w) in result.degradations)
+    result = grade(3, run_experiment(SoakJob(), plan, config, LIMIT))
+    assert result.outcome == "announced-degradation", describe(result)
+    assert any(k in DEGRADATION_MARKERS for (_t, k, _w) in result.obs.degradations)
     assert result.missing == 0, "degraded still means at-least-once"

@@ -18,15 +18,8 @@ from pathlib import Path
 
 GOLDENS = Path(__file__).with_name("fault_goldens.json")
 
-LEGACY_CHAOS = {
-    "exactly-once": "transparent",
-    "degraded:global_rollback": "announced-degradation",
-    "violation": "violation:*",
-}
-
 
 def _outcome(raw: str) -> str:
-    raw = LEGACY_CHAOS.get(raw, raw)
     return "violation:*" if raw.startswith("violation") else raw
 
 
@@ -38,17 +31,17 @@ def current() -> dict:
 
     return {
         "chaos": {
-            str(r.seed): {
-                "outcome": _outcome(r.verdict),
+            r.label: {
+                "outcome": _outcome(r.outcome),
                 "missing": r.missing,
                 "duplicated": r.duplicated,
-                "faults": list(r.chaos_summary["kinds"]),
+                "faults": list(r.obs.engine.summary()["kinds"]),
             }
             for r in chaos_soak(range(16), max_faults=4)
         },
         "integrity": {
-            str(r.seed): {
-                "outcome": _outcome(r.verdict),
+            r.label: {
+                "outcome": _outcome(r.outcome),
                 "injected": r.corruptions_injected,
                 "flagged_in_run": r.integrity_summary.get("total_failed", 0),
                 "flagged_by_audit": len(r.audit.violations),
@@ -56,7 +49,7 @@ def current() -> dict:
             for r in integrity_soak(range(12))
         },
         "transparency": {
-            f"{report.topology}/{case.point.label}": _outcome(case.outcome)
+            case.label: _outcome(case.outcome)
             for report in run_transparency_suite()
             for case in report.cases
         },

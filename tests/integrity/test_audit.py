@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from repro.cli import _audit_matches, _audit_run
 from repro.core.causal_log import CausalLogManager
-from repro.integrity.audit import audit_job
+from repro.integrity.audit import audit_job, audit_matches, audit_run
 from repro.integrity.corruption import (
     corrupt_checkpoint,
     corrupt_standby_image,
@@ -18,15 +17,8 @@ from repro.integrity.corruption import (
 from repro.sim.rng import derive_seed
 
 
-class _Args:
-    seed = 0
-    events = 800
-
-
-def fresh_job(events=_Args.events):
-    args = _Args()
-    args.events = events
-    return _audit_run(args)
+def fresh_job(events=800):
+    return audit_run(seed=0, n_records=events)
 
 
 def test_uncorrupted_run_audits_clean():
@@ -47,7 +39,7 @@ def test_every_seeded_injection_is_flagged():
     missed = [
         (kind, detail)
         for kind, detail in injected
-        if not _audit_matches(kind, detail, report.violations)
+        if not audit_matches(kind, detail, report.violations)
     ]
     assert not missed, f"audit missed {missed}; flagged {report.violations}"
 
@@ -148,6 +140,6 @@ def test_determinant_corruption_never_rewrites_a_delta_on_the_wire(events, damag
     for name, slices in on_the_wire.items():
         assert replica_after(slices, name) == before[name], name
     report = audit_job(jm)
-    assert _audit_matches("determinant_truncation", detail, report.violations), (
+    assert audit_matches("determinant_truncation", detail, report.violations), (
         detail, report.violations,
     )

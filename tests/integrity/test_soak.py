@@ -2,10 +2,10 @@
 
 Every seeded corruption run (silent blob corruption, torn writes, in-flight
 bit-flips, truncated determinant replicas, each paired with kills that force
-recovery to read the damage) must end exactly-once or with an announced
-``degraded:global_rollback`` — never silent loss, duplication, or a hang
-(``run_until_done`` raises on the deadline, which Hypothesis reports with
-the offending seed).  The control arm (``validate=False``) proves the layer
+recovery to read the damage) must end ``transparent`` or as an
+``announced-degradation`` — never silent loss, duplication, or a hang (a
+deadline expiry grades ``violation:recovery-stalled``, which Hypothesis
+reports with the offending seed).  The control arm (``validate=False``) proves the layer
 is load-bearing: the same plan then produces a silent violation.
 
 The per-run Hypothesis example budget is widened on the nightly soak job via
@@ -35,8 +35,8 @@ CONTROL_SEED = 5
 
 def describe(result):
     return (
-        f"seed {result.seed}: verdict={result.verdict} "
-        f"missing={result.chaos.missing} duplicated={result.chaos.duplicated} "
+        f"seed {result.label}: outcome={result.outcome} ({result.detail}) "
+        f"missing={result.missing} duplicated={result.duplicated} "
         f"injected={result.corruptions_injected} detected={result.detected} "
         f"summary={result.integrity_summary}"
     )
@@ -47,10 +47,10 @@ def describe(result):
 def test_corruption_is_detected_or_announced_never_silent(seed):
     result = run_integrity_experiment(seed, limit=LIMIT)
     assert result.ok, describe(result)
-    assert result.chaos.duration < LIMIT
-    if result.verdict != "exactly-once":
+    assert result.obs.duration < LIMIT
+    if result.outcome != "transparent":
         # Degradation is only acceptable when announced.
-        assert result.chaos.degradations, describe(result)
+        assert result.obs.degradations, describe(result)
 
 
 # Formerly-bad seeds found by overnight soaks (the closed ROADMAP §0 item),
@@ -71,10 +71,10 @@ def test_seed_1655_regression_silent_loss_mode():
     writer's numbering on the output-queue log at replay preparation.
     """
     result = run_integrity_experiment(1655, limit=LIMIT)
-    assert result.verdict == "exactly-once", describe(result)
-    assert result.chaos.missing == 0, describe(result)
-    assert result.chaos.duplicated == 0, describe(result)
-    jm = result.chaos.jm
+    assert result.outcome == "transparent", describe(result)
+    assert result.missing == 0, describe(result)
+    assert result.duplicated == 0, describe(result)
+    jm = result.obs.jm
     for vertex in jm.vertices.values():
         task = vertex.task
         assert task is not None and task.status is TaskStatus.FINISHED
@@ -108,16 +108,16 @@ def test_seed_64853_regression_recovery_hang_mode():
     """
     result = run_integrity_experiment(64853, limit=LIMIT)
     assert result.ok, describe(result)
-    assert result.chaos.duration < LIMIT, describe(result)
-    assert result.chaos.missing == 0, describe(result)
-    kinds = [k for (_t, k, _w) in result.chaos.recovery_events]
+    assert result.obs.duration < LIMIT, describe(result)
+    assert result.missing == 0, describe(result)
+    kinds = [k for (_t, k, _w) in result.obs.recovery_events]
     # The wedge is real in this plan (a truncated determinant replica fails
     # the fetch step after the rebuild) and must be announced + torn down.
     assert "recovery-incarnation-abandoned" in kinds, kinds
-    assert result.chaos.degradations, describe(result)
+    assert result.obs.degradations, describe(result)
     # Convergence: every vertex's live incarnation drained to completion —
     # nobody is left waiting on a wedged link pump.
-    jm = result.chaos.jm
+    jm = result.obs.jm
     for vertex in jm.vertices.values():
         task = vertex.task
         assert task is not None and task.status is TaskStatus.FINISHED, (
@@ -139,9 +139,9 @@ def test_seed_16079_regression_in_transit_corruption_mode():
     in-transit original stays intact.
     """
     result = run_integrity_experiment(16079, limit=LIMIT)
-    assert result.verdict == "exactly-once", describe(result)
-    assert result.chaos.missing == 0, describe(result)
-    assert result.chaos.duplicated == 0, describe(result)
+    assert result.outcome == "transparent", describe(result)
+    assert result.missing == 0, describe(result)
+    assert result.duplicated == 0, describe(result)
     # The at-rest damage itself is still real and still detected: the
     # closing audit flags the tampered stored entry.
     assert any(
@@ -190,8 +190,8 @@ def test_validation_disabled_is_demonstrably_silent():
     # no announced degradation.  This is the wrong output the soak verdict
     # exists to catch.
     control = run_integrity_experiment(CONTROL_SEED, validate=False, limit=LIMIT)
-    assert control.verdict == "violation", describe(control)
-    assert control.chaos.missing > 0
+    assert control.outcome == "violation:data-loss", describe(control)
+    assert control.missing > 0
 
     validated = run_integrity_experiment(CONTROL_SEED, validate=True, limit=LIMIT)
     assert validated.ok, describe(validated)
@@ -204,12 +204,12 @@ def test_epoch_fallback_rewinds_the_timeline():
     # epoch that passes, and the abandoned timeline is discarded so later
     # local recoveries cannot resurrect it.
     result = run_integrity_experiment(CONTROL_SEED, limit=LIMIT)
-    kinds = [kind for (_t, kind, _w) in result.chaos.recovery_events]
+    kinds = [kind for (_t, kind, _w) in result.obs.recovery_events]
     assert any(k.startswith("integrity:epoch-invalid") for k in kinds), kinds
     assert any(k.startswith("integrity:epoch-fallback") for k in kinds), kinds
     assert any(k.startswith("integrity:timeline-rewind") for k in kinds), kinds
-    assert result.verdict == "degraded:global_rollback", describe(result)
-    assert result.chaos.missing == 0, "degraded still means at-least-once"
+    assert result.outcome == "announced-degradation", describe(result)
+    assert result.missing == 0, "degraded still means at-least-once"
 
 
 class TestCorruptionPlans:

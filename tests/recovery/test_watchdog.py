@@ -20,7 +20,7 @@ Two properties:
 import pytest
 
 from repro.chaos.plan import FaultPlan
-from repro.chaos.soak import fast_chaos_config, run_chaos_experiment
+from repro.chaos.experiment import SoakJob, fast_chaos_config, grade, run_experiment
 from repro.config import JobConfig, WatchdogConfig
 from repro.errors import JobError, RecoveryStallError
 from repro.recovery.watchdog import RecoveryWatchdog
@@ -32,15 +32,19 @@ def freeze_plan(at=0.4, target="stage1[0]"):
     return FaultPlan(seed=0).add(at, "recovery_freeze", target=target)
 
 
+def frozen_run(config=None, limit=LIMIT):
+    """The freeze plan through the shared run primitive: the stall comes
+    back as the observation's ``error``, not as an exception."""
+    config = config or fast_chaos_config(seed=0, checkpoint_interval=0.25)
+    return run_experiment(SoakJob(), freeze_plan(), config, limit)
+
+
 class TestStallDetection:
-    def test_frozen_recovery_raises_structured_stall(self):
-        with pytest.raises(RecoveryStallError) as excinfo:
-            run_chaos_experiment(
-                freeze_plan(),
-                config=fast_chaos_config(seed=0, checkpoint_interval=0.25),
-                limit=LIMIT,
-            )
-        err = excinfo.value
+    def test_frozen_recovery_ends_in_a_structured_stall(self):
+        obs = frozen_run()
+        err = obs.error
+        assert isinstance(err, RecoveryStallError)
+        assert grade("freeze", obs).outcome == "violation:recovery-stalled"
         assert err.phase, "stall error must name the stuck phase"
         assert err.last_progress_at is not None
         assert err.last_progress_at < LIMIT
@@ -49,19 +53,7 @@ class TestStallDetection:
             assert "status" in pos and "records_processed" in pos, name
 
     def test_stall_is_announced_not_silent(self):
-        env_state = {}
-
-        def capture(jm):
-            env_state["jm"] = jm
-            return freeze_plan()
-
-        with pytest.raises(RecoveryStallError):
-            run_chaos_experiment(
-                capture,
-                config=fast_chaos_config(seed=0, checkpoint_interval=0.25),
-                limit=LIMIT,
-            )
-        jm = env_state["jm"]
+        jm = frozen_run().jm
         kinds = [kind for (_t, kind, _w) in jm.recovery_events]
         assert "degraded:recovery_stalled" in kinds
         assert any(kind.startswith("recovery-stalled:") for kind in kinds)
@@ -76,19 +68,7 @@ class TestStallDetection:
     def test_stall_verdict_surfaces_in_metrics(self):
         from repro.metrics.collectors import stall_summary
 
-        state = {}
-
-        def capture(jm):
-            state["jm"] = jm
-            return freeze_plan()
-
-        with pytest.raises(RecoveryStallError):
-            run_chaos_experiment(
-                capture,
-                config=fast_chaos_config(seed=0, checkpoint_interval=0.25),
-                limit=LIMIT,
-            )
-        summary = stall_summary(state["jm"])
+        summary = stall_summary(frozen_run().jm)
         assert summary["verdict"] == "stalled"
         assert summary["stalls_detected"] >= 1
         assert summary["stalls_announced"] >= 1
@@ -99,9 +79,8 @@ class TestStallDetection:
         JobError string."""
         config = fast_chaos_config(seed=0, checkpoint_interval=0.25)
         config.watchdog = WatchdogConfig(enabled=False)
-        with pytest.raises(RecoveryStallError) as excinfo:
-            run_chaos_experiment(freeze_plan(), config=config, limit=20.0)
-        err = excinfo.value
+        err = frozen_run(config, limit=20.0).error
+        assert isinstance(err, RecoveryStallError)
         assert "did not finish within" in str(err)
         assert err.replay_positions
 
@@ -111,15 +90,15 @@ class TestPassivity:
         config = fast_chaos_config(seed=3, checkpoint_interval=0.25)
         config.watchdog = WatchdogConfig(enabled=enabled)
         plan = FaultPlan(seed=3).add(0.4, "task_kill", target="stage1[0]")
-        return run_chaos_experiment(plan, config=config, limit=LIMIT)
+        return grade(3, run_experiment(SoakJob(), plan, config, LIMIT))
 
     def test_kill_and_recover_run_identical_with_watchdog_on_and_off(self):
         on = self._run(enabled=True)
         off = self._run(enabled=False)
-        assert on.verdict == off.verdict == "exactly-once"
-        assert on.duration == off.duration
-        assert on.delivered == off.delivered
-        assert on.recovery_events == off.recovery_events
+        assert on.outcome == off.outcome == "transparent"
+        assert on.obs.duration == off.obs.duration
+        assert on.obs.projection == off.obs.projection
+        assert on.obs.recovery_events == off.obs.recovery_events
 
     def test_golden_digests_unchanged(self):
         """The golden record run includes a kill at t=0.4; any event the

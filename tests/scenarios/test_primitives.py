@@ -105,13 +105,11 @@ def test_cluster_rejects_more_zones_than_nodes():
 
 
 def test_zone_outage_recovers_with_announcement_at_worst():
-    from repro.scenarios.model import WorkloadSpec
-    from repro.scenarios.runner import OUT_TOPIC, _build_job
+    from repro.chaos.experiment import OUT_TOPIC, SoakJob, deploy, fast_chaos_config
 
-    env, log, jm = _build_job(
-        WorkloadSpec(zones=2, spare_nodes=4), seed=3, checkpoint_interval=0.5
+    env, log, jm = deploy(
+        SoakJob(zones=2, spare_nodes=4), fast_chaos_config(seed=3)
     )
-    jm.deploy()
     plan = FaultPlan(seed=3).add(0.25, "zone_outage", target="0", duration=0.5)
     engine = ChaosEngine(jm, plan)
     engine.arm()

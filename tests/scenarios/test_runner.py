@@ -48,7 +48,7 @@ def test_same_seed_is_byte_identical():
     a = run_scenario(SMALL)
     b = run_scenario(SMALL)
     assert a.transcript_digest == b.transcript_digest
-    assert a.recovery_events == b.recovery_events
+    assert a.obs.recovery_events == b.obs.recovery_events
     assert a.to_dict() == b.to_dict()
 
 

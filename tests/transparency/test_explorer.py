@@ -8,16 +8,14 @@ enumeration and verdict logic in isolation.
 
 from collections import Counter
 
-import pytest
-
+from repro.chaos.experiment import Baseline, Observation, baseline, grade
 from repro.transparency.explorer import (
-    Baseline,
-    CaseResult,
+    CHECKPOINT_INTERVAL,
+    SEED,
     FailurePoint,
     default_topologies,
     enumerate_failure_points,
     explore_topology,
-    run_baseline,
     run_case,
     suite_payload,
 )
@@ -31,7 +29,6 @@ def topo(name):
 class TestEnumeration:
     def baseline(self):
         return Baseline(
-            projection=Counter(),
             duration=1.0,
             snapshot_times={
                 ("src[0]", 1): 0.25,
@@ -81,18 +78,21 @@ class TestEnumeration:
 
 class TestPairTopology:
     def test_baseline_is_exactly_once_and_harvests_boundaries(self):
-        baseline = run_baseline(topo("pair-p1"))
-        assert set(baseline.projection) == {(0, off) for off in range(600)}
-        assert all(c == 1 for c in baseline.projection.values())
-        assert len(baseline.completed) >= 2
-        assert baseline.tasks == ("sink[0]", "src[0]")
+        # baseline() raises unless the failure-free output is exactly-once.
+        reference = baseline(topo("pair-p1").job, SEED, CHECKPOINT_INTERVAL)
+        assert reference.duration > 0
+        assert len(reference.completed) >= 2
+        assert reference.tasks == ("sink[0]", "src[0]")
 
     def test_full_matrix_has_no_silent_divergence(self):
         report = explore_topology(topo("pair-p1"))
         assert report.cases, "matrix must not be empty"
         assert report.violations == []
-        assert report.transparent + report.announced + report.skipped == len(
-            report.cases
+        tally = report.tally()
+        assert (
+            tally["transparent"] + tally["announced_degradation"] + tally["skipped"]
+            == tally["cases"]
+            == len(report.cases)
         )
 
 
@@ -104,7 +104,7 @@ class TestChainTopology:
         # Every task must be probed on both sides of at least one boundary.
         probed = {
             p.kills[0][1]
-            for p in (c.point for c in report.cases)
+            for p in report.points.values()
             if not p.label.startswith("pair:")
         }
         assert probed == {"src[0]", "stage1[0]", "sink[0]"}
@@ -120,6 +120,7 @@ class TestPayload:
         assert payload["violating_cases"] == []
         (entry,) = payload["topologies"]
         assert entry["name"] == "pair-p1"
+        assert entry["tasks"] == 2 and entry["expected_records"] == 600
         assert entry["operators"] == 2
         assert (
             entry["transparent"]
@@ -130,9 +131,12 @@ class TestPayload:
 
     def test_violating_case_is_replayable_from_payload(self):
         point = FailurePoint(label="x@cp1-pre", kills=((0.23, "x"),))
-        bad = CaseResult(point, "violation:data-loss", missing=3)
+        lossy = Observation(expected={(0, 0), (0, 1), (0, 2)}, projection=Counter())
+        bad = grade("pair-p1/x@cp1-pre", lossy)
+        assert bad.outcome == "violation:data-loss"
         report = explore_topology(topo("pair-p1"), boundaries=1, compound=False)
         report.cases.append(bad)
+        report.points[bad.label] = point
         payload = suite_payload([report])
         assert payload["violations"] == 1
         (case,) = payload["violating_cases"]
@@ -144,19 +148,17 @@ class TestPayload:
 class TestVerdicts:
     def test_kill_that_never_lands_is_skipped_not_transparent(self):
         t = topo("pair-p1")
-        expected = {(0, off) for off in range(t.n_records)}
         # Scheduled far beyond the baseline duration (~0.6s): the job ends
         # first, the kill never lands, and the case probed nothing.
         late = FailurePoint(label="src[0]@late", kills=((50.0, "src[0]"),))
-        result = run_case(t, late, expected)
+        result = run_case(t, late)
         assert result.outcome == "skipped:kill-not-landed"
         assert result.ok
 
     def test_single_kill_case_is_transparent(self):
         t = topo("pair-p1")
-        expected = {(0, off) for off in range(t.n_records)}
         point = FailurePoint(label="src[0]@cp1-post", kills=((0.27, "src[0]"),))
-        result = run_case(t, point, expected)
+        result = run_case(t, point)
         assert result.outcome == "transparent"
         assert result.missing == 0
         assert result.duplicated == 0
