@@ -9,6 +9,7 @@ from repro.net import (
     HashPartitioner,
     InputChannel,
     InputGate,
+    NetworkBuffer,
     NetworkLink,
     OutputChannel,
     RecordWriter,
@@ -296,3 +297,176 @@ def test_input_channel_close_fails_pending_put_and_recycles():
     gate.close()
     env.run(until=1.0)
     assert links[0].dropped_buffers > 0
+
+
+# -- link semantics, one test per rule (characterization: these pin what a
+# -- sender, a receiver and the chaos engine can observe of a NetworkLink) ----
+
+
+def slow_link(env, input_capacity=8, pool_buffers=16):
+    """One link whose every buffer takes 1 s on the wire, feeding one
+    channel of one gate; buffers are cut by hand from ``pool``."""
+    cost = make_cost(network_latency=1.0, network_bandwidth=float("inf"))
+    pool = BufferPool(
+        env, pool_buffers * cost.buffer_size_bytes, cost.buffer_size_bytes, "out"
+    )
+    link = NetworkLink(env, cost, name="slow")
+    channel = InputChannel(env, 0, capacity=input_capacity)
+    link.attach_receiver(channel)
+    gate = InputGate(env, [channel])
+    return link, channel, gate, pool
+
+
+def cut_buffer(pool, seq, size=100):
+    assert pool.try_acquire()
+    buffer = NetworkBuffer(0, seq, 0, pool)
+    buffer.append(StreamRecord(seq, key=0), size)
+    return buffer
+
+
+def send_all(env, link, buffers):
+    """A sender process; returns the list of (seq, time the send returned)."""
+    accepted = []
+
+    def sender():
+        for buffer in buffers:
+            yield link.send(buffer)
+            accepted.append((buffer.seq, env.now))
+
+    env.process(sender())
+    return accepted
+
+
+def consume_all(env, gate):
+    """A receiver process; returns the list of (seq, arrival time)."""
+    arrived = []
+
+    def receiver():
+        while True:
+            _idx, buffer = yield from gate.next_buffer()
+            arrived.append((buffer.seq, env.now))
+            buffer.recycle()
+
+    env.process(receiver())
+    return arrived
+
+
+def test_link_counts_the_bytes_and_buffers_it_carried():
+    env = Environment()
+    link, _channel, gate, pool = slow_link(env)
+    buffers = [cut_buffer(pool, seq, size=100 + seq) for seq in range(3)]
+    buffers[1].delta_bytes = 40  # piggybacked determinants ride the wire too
+    send_all(env, link, buffers)
+    arrived = consume_all(env, gate)
+    env.run(until=10)
+    assert arrived == [(0, 1.0), (1, 2.0), (2, 3.0)]  # one at a time, FIFO
+    assert link.buffers_carried == 3
+    assert link.bytes_carried == 100 + (101 + 40) + 102
+    assert link.dropped_buffers == 0
+
+
+def test_reset_drops_the_queued_and_the_mid_transmission_buffer():
+    env = Environment()
+    link, channel, gate, pool = slow_link(env)
+    send_all(env, link, [cut_buffer(pool, seq) for seq in range(3)])
+    arrived = consume_all(env, gate)
+    env.run(until=0.5)  # seq 0 is half-way down the wire, 1 and 2 queue
+    assert link.in_transit == 2
+    assert link.reset() == 2
+    assert link.in_transit == 0
+    env.run(until=5)
+    # The one on the wire dies with the connection (generation bump).
+    assert arrived == []
+    assert channel.delivered_seq == -1
+    assert link.dropped_buffers == 3
+    assert pool.available_buffers == pool.total_buffers
+    # The link itself survives the reset: a new sender's buffers flow.
+    send_all(env, link, [cut_buffer(pool, 3)])
+    env.run(until=10)
+    assert arrived == [(3, 6.0)]
+
+
+def test_purge_drops_everything_and_releases_the_blocked_sender():
+    env = Environment()
+    link, channel, gate, pool = slow_link(env)
+    # One on the wire + a window of four + one sender blocked on the window.
+    accepted = send_all(env, link, [cut_buffer(pool, seq) for seq in range(7)])
+    arrived = consume_all(env, gate)
+    env.run(until=0.5)
+    assert [seq for seq, _t in accepted] == [0, 1, 2, 3, 4]
+    assert link.purge() == 5  # the window and the blocked send; not the wire
+    env.run(until=0.75)
+    # The blocked send was admitted (then dropped); the sender moved on.
+    assert accepted[5:] == [(5, 0.5), (6, 0.5)]
+    env.run(until=5)
+    assert arrived == [(6, 2.0)]  # seq 0 died on the wire at t=1
+    assert link.dropped_buffers == 6
+
+
+def test_partition_holds_delivery_keeps_fifo_and_backpressures_the_sender():
+    from repro.net.link import LinkChaos
+
+    env = Environment()
+    link, _channel, gate, pool = slow_link(env)
+    link.chaos = chaos = LinkChaos(env)
+    chaos.partitioned = True
+    accepted = send_all(env, link, [cut_buffer(pool, seq) for seq in range(7)])
+    arrived = consume_all(env, gate)
+    env.schedule_callback(10.0, chaos.heal)
+    env.run(until=9.5)
+    # seq 0 crossed the wire and is held; four wait in the window; the
+    # sender is stuck on seq 5.
+    assert arrived == []
+    assert link.buffers_carried == 1
+    assert [seq for seq, _t in accepted] == [0, 1, 2, 3, 4]
+    env.run(until=20)
+    assert arrived == [(seq, 10.0 + seq) for seq in range(7)]
+    assert accepted[5:] == [(5, 10.0), (6, 11.0)]
+
+
+def test_injected_loss_breaks_the_link_and_reports_once():
+    from repro.net.link import LinkChaos
+
+    env = Environment()
+    link, _channel, gate, pool = slow_link(env)
+    link.chaos = chaos = LinkChaos(env)
+    chaos.drop_next = 1
+    losses = []
+    chaos.on_loss = losses.append
+    send_all(env, link, [cut_buffer(pool, seq) for seq in range(3)])
+    arrived = consume_all(env, gate)
+    env.run(until=5)
+    # After the first loss every successor drains to the floor: delivering
+    # it would break FIFO.
+    assert arrived == []
+    assert chaos.broken and chaos.dropped == 3 and chaos.drop_next == 0
+    assert losses == [link]
+    assert link.dropped_buffers == 3
+    assert pool.available_buffers == pool.total_buffers
+    chaos.broken = False  # the sender-side repair
+    send_all(env, link, [cut_buffer(pool, 3)])
+    env.run(until=10)
+    assert arrived == [(3, 6.0)]
+
+
+def test_link_stalls_head_of_line_without_credits_and_resumes_on_consume():
+    env = Environment()
+    link, channel, gate, pool = slow_link(env, input_capacity=2)
+    send_all(env, link, [cut_buffer(pool, seq) for seq in range(5)])
+    env.run(until=9.5)
+    # Two credits: seq 0 and 1 are queued, seq 2 crossed the wire at t=3
+    # and waits for a credit; 3 and 4 never started.
+    assert channel.delivered_seq == 1
+    assert len(channel.queue) == 2
+    assert link.buffers_carried == 3
+    _idx, buffer = gate.poll_buffer()  # the task consumes seq 0 at t=9.5
+    assert buffer.seq == 0
+    env.run(until=10)
+    assert channel.delivered_seq == 2  # the waiting buffer took the credit
+    env.run(until=11)
+    # ... and seq 3 started at that instant, to stall in turn at t=10.5.
+    assert link.buffers_carried == 4
+    assert channel.delivered_seq == 2
+    assert gate.poll_buffer()[1].seq == 1
+    env.run(until=20)
+    assert channel.delivered_seq == 3

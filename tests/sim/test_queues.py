@@ -1,9 +1,10 @@
-"""Unit tests for Store and Resource primitives."""
+"""Unit tests for Store, Signal and Resource primitives."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource, Signal, Store
+from repro.sim.core import has_live_callbacks
 
 
 def test_store_fifo_order():
@@ -176,3 +177,60 @@ def test_resource_resize_grow_admits_waiters():
     pool.resize(2)
     env.run(until=2)
     assert acquired == [1]
+
+
+def test_signal_pulse_wakes_every_waiter_at_the_pulse_instant():
+    env = Environment()
+    signal = Signal(env)
+    woken = []
+
+    def waiter(tag):
+        yield signal.wait()
+        woken.append((tag, env.now))
+
+    for tag in "abc":
+        env.process(waiter(tag))
+    env.schedule_callback(2.0, signal.pulse)
+    env.run()
+    assert sorted(woken) == [("a", 2.0), ("b", 2.0), ("c", 2.0)]
+
+
+def test_signal_pulse_without_a_waiter_schedules_nothing():
+    env = Environment()
+    signal = Signal(env)
+    signal.pulse()
+    assert env.peek() == float("inf")
+    # ... and is not remembered: a later waiter needs a later pulse.
+    woken = []
+
+    def waiter():
+        yield signal.wait()
+        woken.append(env.now)
+
+    env.process(waiter())
+    env.run(until=1)
+    assert woken == []
+    signal.pulse()
+    env.run(until=2)
+    assert woken == [1]
+
+
+def test_signal_killed_waiter_leaves_no_live_callback():
+    env = Environment()
+    signal = Signal(env)
+    waits = []
+    woken = []
+
+    def waiter():
+        waits.append(signal.wait())
+        yield waits[-1]
+        woken.append(env.now)
+
+    proc = env.process(waiter())
+    env.run(until=1)
+    assert has_live_callbacks(waits[0])
+    proc.kill()
+    assert not has_live_callbacks(waits[0])
+    signal.pulse()  # pulsing the dead waiter is harmless
+    env.run(until=2)
+    assert woken == []
