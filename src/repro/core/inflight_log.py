@@ -129,7 +129,9 @@ class InFlightLog(InFlightLogSink):
         else:
             # The §6.1 exchange: acquire a log permit (may block = back-
             # pressure), then hand the output pool its permit back.
-            yield self.pool.acquire()
+            granted = self.pool.acquire()
+            if granted.callbacks is not None:
+                yield granted
             buffer.transfer_to(self.pool)
             if self.policy is SpillPolicy.SPILL_THRESHOLD:
                 if self.pool.available_fraction < self.threshold:
@@ -280,7 +282,9 @@ class InFlightLog(InFlightLogSink):
                     delta, delta_bytes = delta_provider(channel_index)
                     entry.buffer.delta = delta
                     entry.buffer.delta_bytes = delta_bytes
-                yield link.send(entry.buffer)
+                accepted = link.send(entry.buffer)
+                if accepted.callbacks is not None:
+                    yield accepted
                 entry.sent = True
                 self.buffers_replayed += 1
 

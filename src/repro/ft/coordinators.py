@@ -226,12 +226,12 @@ class BaseCoordinator:
 
         The rebuild already attached the replacement's input channels to the
         links (the Section 6.2 reconfiguration handshake).  Abandoning it
-        without closing its gate leaves link pumps blocked forever on its
+        without closing its gate leaves links blocked forever on its
         credit queues — upstream replay/regeneration fills the orphaned
-        queue, the pump parks inside ``deliver``, and no later incarnation
+        queue, the link waits on its ``deliver``, and no later incarnation
         (not even a global restart's) ever receives another buffer on that
         link.  Failing the abandoned incarnation detaches its receivers and
-        cancels every waiter so the pump recovers, and the next attempt
+        cancels every waiter so the link recovers, and the next attempt
         attaches a fresh one."""
         if vertex.task is task and task.status is TaskStatus.CREATED:
             task.fail()
@@ -311,7 +311,7 @@ class GlobalRollbackCoordinator(BaseCoordinator):
         # their replay.  CREATED tasks are abandoned half-built replacements
         # (their recovery proc was cancelled between rebuild and start);
         # they too must be failed so their attached gates release any link
-        # pump blocked on their credit queues.
+        # blocked on their credit queues.
         for vertex in jm.vertices.values():
             task = vertex.task
             if task is not None and task.status in (

@@ -188,22 +188,7 @@ def run_experiment(
 
     with _gc_paused():
         if duration is not None:
-            deadline = env.now + duration
-            queue = env._queue
-            step = env.step
-            crashed = jm.crashed
-            finished = jm._job_finished
-            while queue and queue[0][0] <= deadline:
-                if crashed:
-                    name, exc = crashed[0]
-                    from repro.errors import RecoveryStallError
-
-                    if isinstance(exc, RecoveryStallError):
-                        raise exc
-                    raise RuntimeError(f"task {name} crashed: {exc!r}") from exc
-                if finished():
-                    break
-                step()
+            jm.drive(env.now + duration)
         else:
             jm.run_until_done(limit=limit)
     out_sampler.stop()

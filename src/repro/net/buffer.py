@@ -128,8 +128,10 @@ class BufferPool:
         return self._units.available / self._units.capacity
 
     def acquire(self) -> Event:
-        """Reserve one buffer's worth of bytes (waitable)."""
-        ev = self._units.acquire()
+        """Reserve one buffer's worth of bytes; the returned event is pending
+        only when the pool is exhausted."""
+        units = self._units
+        ev = self.env.no_wait if units.try_acquire() else units.acquire()
         self._note_usage()
         return ev
 

@@ -43,27 +43,23 @@ class InputChannel:
         self._gate: Optional["InputGate"] = None
 
     def deliver(self, buffer: NetworkBuffer) -> Event:
-        """Called by the link pump; blocks the pump when out of credits."""
+        """Called by the link; the returned event is pending only when the
+        channel is out of credits (the link then waits for it)."""
         if self._closed:
             failed = Event(self.env)
             failed.fail(NetworkError(f"input channel {self.index} closed"))
             return failed
-        done = self.queue.put(buffer)
-        seq = buffer.seq
-
-        def note(_ev=None, s=seq):
-            if s > self.delivered_seq:
-                self.delivered_seq = s
-            self._on_queued()
-
         # Notify the gate only once the buffer is actually queued.
-        if done.triggered:
-            note()
-        else:
-            done.callbacks.append(note)
+        if self.queue.try_put(buffer):
+            self._on_queued(buffer.seq)
+            return self.env.no_wait
+        done = self.queue.put(buffer)
+        done.callbacks.append(lambda _ev, seq=buffer.seq: self._on_queued(seq))
         return done
 
-    def _on_queued(self) -> None:
+    def _on_queued(self, seq: int) -> None:
+        if seq > self.delivered_seq:
+            self.delivered_seq = seq
         if self._gate is not None and not self._closed:
             self._gate._notify_arrival(self.index)
 
@@ -85,14 +81,16 @@ class InputChannel:
 class InputGate:
     """Multiplexes a task's input channels in arrival order."""
 
-    def __init__(self, env: Environment, channels: List[InputChannel]):
+    def __init__(
+        self, env: Environment, channels: List[InputChannel], signal: Optional[Signal] = None
+    ):
         self.env = env
         self.channels = channels
         self._order: Deque[int] = deque()
         self._ready: Deque[int] = deque()
-        #: Pulsed whenever a new buffer becomes consumable; tasks wait on it
-        #: together with their timer/control signals.
-        self.arrival_signal = Signal(env)
+        #: Pulsed whenever a new buffer becomes consumable; a task passes the
+        #: one signal its control queue and timers pulse too.
+        self.arrival_signal = signal if signal is not None else Signal(env)
         for channel in channels:
             channel._gate = self
 

@@ -9,13 +9,12 @@ received sequence number, used for sender-side deduplication).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.config import CostModel
-from repro.errors import NetworkError
 from repro.net.buffer import NetworkBuffer
-from repro.sim.core import Environment
-from repro.sim.queues import Signal, Store
+from repro.sim.core import Environment, Event
+from repro.sim.queues import Store
 
 
 class LinkChaos:
@@ -38,29 +37,30 @@ class LinkChaos:
         self.env = env
         self.delay_factor = 1.0
         self.partitioned = False
-        self._heal_signal = Signal(env)
+        #: Set by the link while it holds a transmitted buffer back.
+        self.on_heal: Optional[Callable[[], None]] = None
         #: Pending injected drops; the first one breaks the link.
         self.drop_next = 0
         self.broken = False
         self.dropped = 0
-        #: Called once per loss episode with the link, from the pump.
+        #: Called once per loss episode with the link.
         self.on_loss = None
 
     def heal(self) -> None:
         if self.partitioned:
             self.partitioned = False
-            self._heal_signal.pulse()
-
-    def wait_heal(self):
-        return self._heal_signal.wait()
+            resume, self.on_heal = self.on_heal, None
+            if resume is not None:
+                resume()
 
 
 class ReceiverEndpoint:
     """What a link needs from the receiving side (implemented by
     :class:`repro.net.gate.InputChannel`)."""
 
-    def deliver(self, buffer: NetworkBuffer):
-        """Return a waitable event; blocking models exhausted credits."""
+    def deliver(self, buffer: NetworkBuffer) -> Event:
+        """Return a waitable event; a pending one models exhausted credits,
+        ``env.no_wait`` a buffer taken on the spot."""
         raise NotImplementedError
 
 
@@ -70,17 +70,27 @@ class NetworkLink:
     While no receiver is attached (the downstream task is dead and not yet
     replaced), delivered buffers are *dropped*: this is precisely the data
     that upstream in-flight logs exist to regenerate.
+
+    A callback state machine, one kernel event (the transmission timeout)
+    per buffer: idle -> on the wire -> [held by a partition] -> delivered,
+    dropped or waiting for a credit -> next in the window, else idle
+    (DESIGN.md, "Per-buffer event budget", has the diagram).
     """
 
     def __init__(self, env: Environment, cost: CostModel, name: str = "", capacity: int = 4):
         self.env = env
         self.cost = cost
         self.name = name
+        #: Accepted buffers waiting for the wire, and sends blocked on it.
         self._wire: Store[NetworkBuffer] = Store(env, capacity=capacity)
+        #: The buffer on the wire, held by a partition or out of credits.
+        self._current: Optional[NetworkBuffer] = None
         self._receiver: Optional[ReceiverEndpoint] = None
-        #: Bumped on reset(): the pump drops any buffer it picked up before
-        #: the reset (data in the TCP stack dies with the connection).
+        #: Bumped on reset()/purge(): the buffer on the wire at that moment
+        #: is dropped on arrival (data in the TCP stack dies with the
+        #: connection).
         self._generation = 0
+        self._current_generation = 0
         #: Buffers dropped because the receiver was dead; for assertions.
         self.dropped_buffers = 0
         #: Total payload + determinant bytes carried, for overhead metrics.
@@ -88,7 +98,6 @@ class NetworkLink:
         self.buffers_carried = 0
         #: Installed by the chaos engine; None on healthy links (zero cost).
         self.chaos: Optional[LinkChaos] = None
-        self._pump_proc = env.process(self._pump(), name=f"link-pump:{name}")
 
     @property
     def receiver(self) -> Optional[ReceiverEndpoint]:
@@ -102,22 +111,29 @@ class NetworkLink:
         """Called when the downstream task dies: in-transit data is lost."""
         self._receiver = None
 
-    def send(self, buffer: NetworkBuffer):
-        """Hand a buffer to the wire; blocks when the transmit window is full."""
-        return self._wire.put(buffer)
+    def send(self, buffer: NetworkBuffer) -> Event:
+        """Hand a buffer to the wire; the returned event is pending only
+        when the transmit window is full."""
+        if self._current is None:
+            self._transmit(buffer)
+        elif not self._wire.try_put(buffer):
+            return self._wire.put(buffer)
+        return self.env.no_wait
 
     def reset(self) -> int:
         """Connection reset (the sender died): in-transit data is lost and
         the dead sender's queued puts are purged.  Returns dropped count."""
         self._generation += 1
-        dropped = self._wire.clear()
+        # Blocked puts first: clear() would admit them into the freed window.
+        dropped = self._wire.drop_waiting_puts() + self._wire.clear()
         for buffer in dropped:
-            self._drop(buffer)
-        for buffer in self._wire.drop_waiting_puts():
             self._drop(buffer)
         return len(dropped)
 
     def try_send(self, buffer: NetworkBuffer) -> bool:
+        if self._current is None:
+            self._transmit(buffer)
+            return True
         return self._wire.try_put(buffer)
 
     @property
@@ -141,46 +157,63 @@ class NetworkLink:
                 count += 1
         return count
 
-    def _pump(self):
-        while True:
-            buffer = yield self._wire.get()
-            generation = self._generation
-            transmission = self.cost.transmission_time(buffer.total_bytes)
-            chaos = self.chaos
-            if chaos is not None and chaos.delay_factor != 1.0:
-                transmission *= chaos.delay_factor
-            yield self.env.timeout(transmission)
-            self.bytes_carried += buffer.total_bytes
-            self.buffers_carried += 1
-            chaos = self.chaos
-            while chaos is not None and chaos.partitioned:
-                # Partition: hold delivery (FIFO preserved); the bounded
-                # in-transit window backpressures the sender meanwhile.
-                yield chaos.wait_heal()
-                chaos = self.chaos
-            receiver = self._receiver
-            if receiver is None or generation != self._generation:
-                self._drop(buffer)
-                continue
-            if chaos is not None and (chaos.broken or chaos.drop_next > 0):
-                # Injected loss.  After the first dropped buffer the link is
-                # *broken* — delivering any successor would break FIFO — so
-                # everything drains to the floor until the sender-side
-                # repair (in-flight log retransmission) clears ``broken``.
-                first = not chaos.broken
-                if chaos.drop_next > 0:
-                    chaos.drop_next -= 1
-                chaos.broken = True
-                chaos.dropped += 1
-                self._drop(buffer)
-                if first and chaos.on_loss is not None:
-                    chaos.on_loss(self)
-                continue
-            try:
-                yield receiver.deliver(buffer)
-            except NetworkError:
-                # Receiver torn down while we were blocked on its credits.
-                self._drop(buffer)
+    def _transmit(self, buffer: NetworkBuffer) -> None:
+        self._current = buffer
+        self._current_generation = self._generation
+        transmission = self.cost.transmission_time(buffer.total_bytes)
+        chaos = self.chaos
+        if chaos is not None and chaos.delay_factor != 1.0:
+            transmission *= chaos.delay_factor
+        self.env.timeout(transmission).callbacks.append(self._on_transmitted)
+
+    def _on_transmitted(self, _event: Event) -> None:
+        self.bytes_carried += self._current.total_bytes
+        self.buffers_carried += 1
+        chaos = self.chaos
+        if chaos is not None and chaos.partitioned:
+            # Partition: hold delivery (FIFO preserved); the bounded
+            # in-transit window backpressures the sender meanwhile.
+            chaos.on_heal = self._deliver
+        else:
+            self._deliver()
+
+    def _deliver(self) -> None:
+        buffer = self._current
+        chaos = self.chaos
+        receiver = self._receiver
+        if receiver is None or self._current_generation != self._generation:
+            self._drop(buffer)
+        elif chaos is not None and (chaos.broken or chaos.drop_next > 0):
+            # Injected loss.  After the first dropped buffer the link is
+            # *broken* — delivering any successor would break FIFO — so
+            # everything drains to the floor until the sender-side
+            # repair (in-flight log retransmission) clears ``broken``.
+            first = not chaos.broken
+            if chaos.drop_next > 0:
+                chaos.drop_next -= 1
+            chaos.broken = True
+            chaos.dropped += 1
+            self._drop(buffer)
+            if first and chaos.on_loss is not None:
+                chaos.on_loss(self)
+        else:
+            taken = receiver.deliver(buffer)
+            if taken.callbacks is not None:
+                # Out of credits: the head of the line waits for the receiver.
+                taken.callbacks.append(self._on_delivered)
+                return
+        self._next()
+
+    def _on_delivered(self, event: Event) -> None:
+        if not event._ok:
+            # Receiver torn down while we were blocked on its credits.
+            self._drop(self._current)
+        self._next()
+
+    def _next(self) -> None:
+        self._current = self._wire.try_get()  # admits one blocked put, if any
+        if self._current is not None:
+            self._transmit(self._current)
 
     def _drop(self, buffer: NetworkBuffer) -> None:
         self.dropped_buffers += 1

@@ -154,7 +154,9 @@ class OutputChannel:
         return self.flush("timer")
 
     def _new_buffer(self):
-        yield self.pool.acquire()
+        granted = self.pool.acquire()
+        if granted.callbacks is not None:
+            yield granted
         self.current = NetworkBuffer(self.index, self.seq, self.epoch, self.pool)
         self.seq += 1
 
@@ -196,12 +198,12 @@ class OutputChannel:
         if self.inflight_log is not None:
             buffer.recycle_on_consume = False
             yield from self.inflight_log.append(self.index, buffer, sent=not parked)
-            if not parked and not suppressed:
-                yield self.link.send(buffer)
-        elif not suppressed:
-            yield self.link.send(buffer)
-        else:
+        elif suppressed:
             buffer.recycle()  # deduplicated and unlogged: return the memory
+        if not parked and not suppressed:
+            accepted = self.link.send(buffer)
+            if accepted.callbacks is not None:
+                yield accepted
 
     # -- checkpoint & recovery support ---------------------------------------
 

@@ -311,4 +311,4 @@ class RecoveryWatchdog:
         jm.trace.emit(jm.env.now, "recovery-stall-fatal", victim, why=why)
         self._armed = False
         jm.crashed.append(("recovery-watchdog", error))
-        jm.done_signal.pulse()
+        jm._job_over()

@@ -43,7 +43,6 @@ from repro.recovery.watchdog import RecoveryWatchdog, stall_diagnostics
 from repro.runtime.cluster import Cluster
 from repro.runtime.task import InputInfo, OutputEdgeInfo, StreamTask, TaskStatus
 from repro.sim.core import Environment
-from repro.sim.queues import Signal
 from repro.sim.rng import RandomStreams
 from repro.state.snapshot import SnapshotStore, TaskSnapshot
 from repro.trace.events import TraceLog
@@ -158,7 +157,9 @@ class JobManager:
         #: after construction (recovery swaps tasks *inside* vertices), so
         #: the hot ``_job_finished`` poll need not rescan every vertex.
         self._sink_names: Optional[frozenset] = None
-        self.done_signal = Signal(env)
+        #: Only while :meth:`drive` runs the kernel does the end of the job
+        #: stop it (a hand-stepped ``env.run(until=...)`` keeps its horizon).
+        self._driving = False
         self._checkpoint_proc = None
         #: NDLint report of the last ``submit(lint=...)`` call, if any.
         self.lint_report = None
@@ -421,7 +422,7 @@ class JobManager:
             link.attach_receiver(channel)
             in_channels.append(channel)
             infos.append(InputInfo(flat_idx, input_index, upstream_name, link))
-        task.attach_inputs(InputGate(self.env, in_channels), infos)
+        task.attach_inputs(InputGate(self.env, in_channels, task.wakeup), infos)
 
         # Outputs: one shared output pool per task, one writer per edge.
         out_edges: List[OutputEdgeInfo] = []
@@ -928,12 +929,16 @@ class JobManager:
 
     def task_crashed(self, task: StreamTask, exc: BaseException) -> None:
         self.crashed.append((task.name, exc))
-        self.done_signal.pulse()
+        self._job_over()
 
     def task_finished(self, task: StreamTask) -> None:
         self._finished_tasks.add(task.name)
         if self._job_finished():
-            self.done_signal.pulse()
+            self._job_over()
+
+    def _job_over(self) -> None:
+        if self._driving:
+            self.env.stop()
 
     def _job_finished(self) -> bool:
         sinks = self._sink_names
@@ -945,39 +950,34 @@ class JobManager:
 
     # -- harness helpers -------------------------------------------------------------------------
 
-    def wait_done(self):
-        """Generator: waits until every sink finished (finite jobs only)."""
-        while not self._job_finished():
-            yield self.done_signal.wait()
+    def drive(self, deadline: float) -> bool:
+        """Dispatch kernel events until the job is over (True) or nothing is
+        scheduled up to ``deadline`` (False); a crashed task raises."""
+        if not (self.crashed or self._job_finished()):
+            self._driving = True
+            try:
+                self.env.run(until=deadline)
+            finally:
+                self._driving = False
+        if self.crashed:
+            name, exc = self.crashed[0]
+            if isinstance(exc, RecoveryStallError):
+                # The watchdog's structured verdict: surface it as-is.
+                raise exc
+            raise JobError(f"task {name} crashed: {exc!r}") from exc
+        return self._job_finished()
 
     def run_until_done(self, limit: float = 3600.0) -> float:
         """Drive the simulation until the job finishes; returns the time."""
-        env = self.env
-        env.process(self.wait_done(), name="wait-done")
-        deadline = env.now + limit
-        # Hot loop: hoist the bound methods and the queue; peek() is inlined
-        # (an empty queue peeks +inf, which always exceeds the deadline).
-        queue = env._queue
-        step = env.step
-        crashed = self.crashed
-        finished = self._job_finished
-        while not finished():
-            if crashed:
-                name, exc = crashed[0]
-                if isinstance(exc, RecoveryStallError):
-                    # The watchdog's structured verdict: surface it as-is.
-                    raise exc
-                raise JobError(f"task {name} crashed: {exc!r}") from exc
-            if not queue or queue[0][0] > deadline:
-                # Deadline expiry never dies as a bare timeout: attach the
-                # incident id, the stuck phase, and every task's replay
-                # position (works with the watchdog disabled too).
-                raise stall_diagnostics(
-                    self,
-                    last_progress_at=self.watchdog.last_progress_at,
-                    detail=f"job did not finish within {limit}s of simulated time",
-                )
-            step()
+        if not self.drive(self.env.now + limit):
+            # Deadline expiry never dies as a bare timeout: attach the
+            # incident id, the stuck phase, and every task's replay
+            # position (works with the watchdog disabled too).
+            raise stall_diagnostics(
+                self,
+                last_progress_at=self.watchdog.last_progress_at,
+                detail=f"job did not finish within {limit}s of simulated time",
+            )
         if SANITIZER.enabled:
             SANITIZER.on_job_done(self)
         return self.env.now

@@ -41,12 +41,16 @@ class ControlMessage(NamedTuple):
 class ControlQueue:
     """A task's inbound control mailbox."""
 
-    def __init__(self, env: Environment, cost: CostModel, owner: str, jm=None):
+    def __init__(
+        self, env: Environment, cost: CostModel, owner: str, jm=None,
+        signal: Optional[Signal] = None,
+    ):
         self.env = env
         self.cost = cost
         self.owner = owner
         self.jm = jm
-        self.signal = Signal(env)
+        #: Pulsed on every delivery; a task passes the one signal it waits on.
+        self.signal = signal if signal is not None else Signal(env)
         self._messages: Deque[ControlMessage] = deque()
         self.closed = False
         # -- loss accounting (chaos runs assert against these) ---------------

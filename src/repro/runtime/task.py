@@ -48,6 +48,7 @@ from repro.net.writer import CausalOutputContext, OutputChannel, RecordWriter
 from repro.operators.base import Context, Operator, Services
 from repro.runtime.rpc import ControlQueue
 from repro.sim.core import Environment, Interrupt
+from repro.sim.queues import Signal
 from repro.state.backend import HashMapStateBackend
 from repro.state.snapshot import TaskSnapshot
 from repro.timing.timers import Timer, TimerService
@@ -127,8 +128,11 @@ class StreamTask:
         self.is_sink = is_sink
 
         self.backend = HashMapStateBackend()
-        self.timers = TimerService(env)
-        self.control = ControlQueue(env, self.cost, name, jm=jobmanager)
+        #: The one signal an idle task waits on: the control queue, the timer
+        #: service and the input gate all pulse it.
+        self.wakeup = Signal(env)
+        self.timers = TimerService(env, self.wakeup)
+        self.control = ControlQueue(env, self.cost, name, jm=jobmanager, signal=self.wakeup)
         self.recovery = RecoveryManager(
             name,
             trace=getattr(jobmanager, "trace", None),
@@ -379,12 +383,6 @@ class StreamTask:
 
     # -- main loops --------------------------------------------------------------------------
 
-    def _wait_for_work(self):
-        waits = [self.control.signal.wait(), self.timers.due_signal.wait()]
-        if self.gate is not None:
-            waits.append(self.gate.arrival_signal.wait())
-        return self.env.any_of(waits)
-
     def _data_loop(self):
         try:
             while True:
@@ -406,7 +404,7 @@ class StreamTask:
                         yield from self._finish()
                         return
                     continue
-                yield self._wait_for_work()
+                yield self.wakeup.wait()
         except Interrupt:
             return
         except PoisonPillError:
@@ -441,6 +439,9 @@ class StreamTask:
             raise
 
     def _source_loop(self):
+        #: The arrival the last poll reported.  Offsets only grow while this
+        #: loop runs, so polling before that instant would just rediscover it.
+        next_arrival = None
         try:
             while True:
                 message = self.control.poll()
@@ -453,30 +454,26 @@ class StreamTask:
                 if self.timers.has_due():
                     yield from self._fire_timer(self.timers.pop_due())
                     continue
-                records, next_arrival = self.operator.poll(self.ctx, self.SOURCE_BATCH)
-                if records:
-                    record_cpu_cost = self.cost.record_cpu_cost
-                    for record in records:
-                        self.offset_in_epoch += 1
-                        self.records_processed += 1
-                        self._cpu_debt += record_cpu_cost
-                        tail = self._emit_nowait(record)
-                        if tail is not None:
-                            yield from tail
-                    yield from self._maybe_emit_watermark()
-                    yield from self._pay()
-                    continue
-                if next_arrival is None:
-                    yield from self._finish_source()
-                    return
+                if next_arrival is None or next_arrival <= self.env.now:
+                    records, next_arrival = self.operator.poll(self.ctx, self.SOURCE_BATCH)
+                    if records:
+                        record_cpu_cost = self.cost.record_cpu_cost
+                        for record in records:
+                            self.offset_in_epoch += 1
+                            self.records_processed += 1
+                            self._cpu_debt += record_cpu_cost
+                            tail = self._emit_nowait(record)
+                            if tail is not None:
+                                yield from tail
+                        yield from self._maybe_emit_watermark()
+                        yield from self._pay()
+                        continue
+                    if next_arrival is None:
+                        yield from self._finish_source()
+                        return
                 delay = max(next_arrival - self.env.now, 1e-4)
-                yield self.env.any_of(
-                    [
-                        self.env.timeout(delay),
-                        self.control.signal.wait(),
-                        self.timers.due_signal.wait(),
-                    ]
-                )
+                next_arrival = None  # whatever ends the sleep, poll afresh
+                yield self.wakeup.sleep(delay)
         except Interrupt:
             return
         except Exception as exc:  # noqa: BLE001 — surface bugs to the JM
@@ -1100,7 +1097,7 @@ class StreamTask:
             while True:
                 message = self.control.poll()
                 if message is None:
-                    yield self.control.signal.wait()
+                    yield self.wakeup.wait()
                     continue
                 if message.kind == "replay_request":
                     self._on_replay_request(**message.payload)

@@ -26,6 +26,10 @@ Hot-path notes (see DESIGN.md, "Kernel fast paths"):
 * ``run()`` dispatches events in a loop that skips the tracer/profiler
   branches entirely when neither is installed.  The per-event *schedule* is
   identical either way; only the Python overhead differs.
+* A hand-off with nothing to wait for returns the one already-processed
+  event, :attr:`Environment.no_wait`, instead of scheduling a zero-delay one.
+  Yielding it resumes the process at once; hot paths test ``event.callbacks
+  is None`` and skip the ``yield``, so such a hand-off costs no kernel step.
 """
 
 from __future__ import annotations
@@ -319,8 +323,7 @@ class Condition(Event):
     __slots__ = ("_events", "_pending")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        # Inlined Event.__init__: conditions are built once per wait in the
-        # hottest polling loops, so the extra super() frame is measurable.
+        # Inlined Event.__init__ (saves the super() frame).
         self.env = env
         self.callbacks = []
         self._value = None
@@ -414,6 +417,10 @@ class Environment:
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
+        self._stopped = False
+        #: The shared already-processed event (see the module docstring).
+        self.no_wait = done = Event(self)
+        done.callbacks, done._triggered, done._processed = None, True, True
         factory = Environment._tracer_factory
         self.tracer = factory() if factory is not None else None
         profiler_factory = Environment._profiler_factory
@@ -496,11 +503,18 @@ class Environment:
             # exception; surface it instead.
             raise event._value
 
+    def stop(self) -> None:
+        """Make the :meth:`run` in progress return once the event being
+        dispatched is done, leaving the clock at that event."""
+        self._stopped = True
+
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue empties or the clock reaches ``until``."""
+        """Run until the queue empties, the clock reaches ``until`` or
+        :meth:`stop` is called."""
         if until is not None and until < self._now:
             raise SimulationError(f"run until {until} is in the past (now={self._now})")
         queue = self._queue
+        self._stopped = False
         if self.tracer is None and self.profiler is None:
             # Fast dispatch loop: step() inlined, instrumentation branches
             # gone.  The event schedule is byte-identical to the slow path.
@@ -523,6 +537,8 @@ class Environment:
                 if callbacks:
                     for callback in callbacks:
                         callback(event)
+                    if self._stopped:
+                        return self._now
                 elif not event._ok and not isinstance(event, Process):
                     raise event._value
         else:
@@ -532,6 +548,8 @@ class Environment:
                 if until is not None and queue[0][0] > until:
                     break
                 step()
+                if self._stopped:
+                    return self._now
         if until is not None:
             self._now = until
         return self._now

@@ -11,7 +11,15 @@ from collections import deque
 from typing import Any, Deque, Generic, List, Optional, TypeVar
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event, has_live_callbacks
+from repro.sim.core import (
+    NORMAL,
+    Environment,
+    Event,
+    Process,
+    Timeout,
+    _make_resume_event,
+    has_live_callbacks,
+)
 
 T = TypeVar("T")
 
@@ -133,22 +141,51 @@ class Signal:
     empty waits on the signal; producers pulse after enqueueing.  Because the
     kernel is cooperative (no preemption between the poll and the wait),
     wakeups cannot be lost.
+
+    All waits between two pulses share one pending event, so waiting again
+    and again on a signal nobody pulses leaves nothing behind.  A process
+    that must also wake at a deadline calls :meth:`sleep`: racing ``wait()``
+    against a timeout in an ``AnyOf`` leaves the unpulsed side registered.
     """
 
     def __init__(self, env: Environment):
         self.env = env
-        self._waiters: List[Event] = []
+        self._pending: Optional[Event] = None
+        self._sleeper: Optional[Process] = None
+        self._nap: Optional[Timeout] = None
 
     def wait(self) -> Event:
-        ev = Event(self.env)
-        self._waiters.append(ev)
+        ev = self._pending
+        if ev is None:
+            ev = self._pending = Event(self.env)
         return ev
 
+    def sleep(self, delay: float) -> Timeout:
+        """A timeout for the calling process to yield, which the next pulse
+        cuts short.  Single sleeper: only the process that owns the signal
+        may sleep on it (a second sleeper would take over the wake-up)."""
+        self._sleeper = self.env.active_process
+        self._nap = nap = Timeout(self.env, delay)
+        return nap
+
     def pulse(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            if not ev.triggered:
-                ev.succeed()
+        ev = self._pending
+        if ev is not None:
+            self._pending = None
+            ev.succeed()
+        nap = self._nap
+        if nap is not None:
+            self._nap = None
+            if self._sleeper._target is nap:
+                wake = _make_resume_event(self.env, self._preempt, True, nap)
+                self.env._schedule(wake, NORMAL)
+
+    def _preempt(self, event: Event) -> None:
+        # Resuming detaches the sleeper from its timeout (which then pops as
+        # a no-op) — unless the timeout fired first at this same instant.
+        sleeper = self._sleeper
+        if sleeper._target is event._value:
+            sleeper._resume(event)
 
 
 class Resource:

@@ -69,9 +69,9 @@ class TimerService:
     is where the nondeterminism lives.
     """
 
-    def __init__(self, env: Environment):
+    def __init__(self, env: Environment, signal: Optional[Signal] = None):
         self.env = env
-        self.due_signal = Signal(env)
+        self.due_signal = signal if signal is not None else Signal(env)
         self._due: List[Timer] = []
         self._proc_timers: Dict[str, Timer] = {}
         self._event_heap: List[Tuple[float, int, Timer]] = []

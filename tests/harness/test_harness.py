@@ -52,6 +52,35 @@ class TestRunExperiment:
         assert result.duration == pytest.approx(2.0, abs=0.2)
         assert result.output_values()
 
+    def test_a_crashed_task_is_a_job_error_with_or_without_a_duration(self):
+        """Both ways of driving a run share one loop, so a buggy operator
+        surfaces as the same structured error (a duration-bounded run used
+        to raise a bare RuntimeError)."""
+        from repro.errors import JobError
+        from repro.graph.logical import JobGraphBuilder
+        from repro.operators import KafkaSink, KafkaSource, MapOperator
+
+        def boom(value):
+            if value == 100:
+                raise ValueError("operator bug")
+            return value
+
+        def buggy(log, external):
+            log.create_generated_topic("in", 1, lambda p, off: off, 2000.0, 400)
+            log.create_topic("out", 1)
+            builder = JobGraphBuilder("buggy")
+            stream = builder.source("src", lambda: KafkaSource(log, "in"))
+            stream.process("map", lambda: MapOperator(boom)).sink(
+                "sink", lambda: KafkaSink(log, "out")
+            )
+            return builder.build()
+
+        for bounds in ({"duration": 2.0}, {"limit": 120}):
+            with pytest.raises(JobError, match="map\\[0\\] crashed"):
+                run_experiment(
+                    buggy, make_config(FaultToleranceMode.GLOBAL_ROLLBACK), **bounds
+                )
+
     def test_kills_are_recorded(self):
         result = run_experiment(
             simple_graph(),

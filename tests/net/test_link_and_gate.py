@@ -470,3 +470,28 @@ def test_link_stalls_head_of_line_without_credits_and_resumes_on_consume():
     assert gate.poll_buffer()[1].seq == 1
     env.run(until=20)
     assert channel.delivered_seq == 3
+
+
+def test_reset_purges_the_dead_senders_blocked_send():
+    """A send still waiting for window space when its sender dies must die
+    with it: delivering it after the window was dropped would hand the
+    receiver seq 5 right after seq -1 — a FIFO gap that the reconnect
+    handshake (``delivered_seq``) would then turn into lost buffers."""
+    env = Environment()
+    link, channel, gate, pool = slow_link(env)
+    buffers = [cut_buffer(pool, seq) for seq in range(6)]
+
+    def sender():
+        for buffer in buffers:
+            yield link.send(buffer)
+
+    proc = env.process(sender())
+    arrived = consume_all(env, gate)
+    env.run(until=0.5)  # seq 0 on the wire, 1-4 in the window, 5 blocked
+    proc.kill()
+    assert link.reset() == 5
+    env.run(until=10)
+    assert arrived == []
+    assert channel.delivered_seq == -1
+    assert link.dropped_buffers == 6
+    assert pool.available_buffers == pool.total_buffers

@@ -160,3 +160,116 @@ class TestCheckpointLifecycle:
             t for cid, t in jm.checkpoints_completed if detected <= t <= recovered
         ]
         assert triggered_during == []
+
+
+class TestTaskWakeUp:
+    """An idle task waits on one signal; nothing piles up behind it."""
+
+    def run_paced(self, n_records, rate):
+        from tests.runtime.helpers import build_linear_job
+
+        env = Environment()
+        log = DurableLog()
+        # One checkpoint in the whole run: control and timer signals are
+        # (almost) never pulsed while the tasks wake once per arrival.
+        config = make_config(
+            FaultToleranceMode.GLOBAL_ROLLBACK, checkpoint_interval=1e6
+        )
+        jm = build_linear_job(env, config, log, n_records=n_records, rate=rate)
+        return env, jm, log
+
+    def test_ten_thousand_wakes_retain_a_constant_number_of_kernel_objects(self):
+        import gc
+
+        from repro.sim.core import Event
+
+        env, jm, log = self.run_paced(10_000, rate=1000.0)
+        jm.run_until_done(limit=60)
+        assert len(sink_values(log)) == 10_000
+        gc.collect()
+        live = sum(
+            1 for obj in gc.get_objects() if isinstance(obj, Event) and obj.env is env
+        )
+        # Event, Timeout, AnyOf and Process all count; per-wait events in
+        # never-pulsed waiter lists used to keep three per wake alive.
+        assert live < 100, live
+
+    @pytest.fixture
+    def polls(self, monkeypatch):
+        """Records returned by each ``KafkaSource.poll`` of the test."""
+        polls = []
+        original = KafkaSource.poll
+
+        def counting_poll(self, ctx, max_records):
+            records, next_arrival = original(self, ctx, max_records)
+            polls.append(len(records))
+            return records, next_arrival
+
+        monkeypatch.setattr(KafkaSource, "poll", counting_poll)
+        return polls
+
+    def test_paced_source_polls_once_per_arrival(self, polls):
+        env, jm, log = self.run_paced(500, rate=1000.0)
+        jm.run_until_done(limit=60)
+        assert len(sink_values(log)) == 500
+        # One poll per arrival plus the one that finds the topic exhausted
+        # (a re-poll right after emitting only rediscovers the next arrival).
+        assert 500 <= len(polls) <= 520, len(polls)
+
+    def test_backlogged_source_keeps_polling_without_sleeping(self, polls):
+        env, jm, log = self.run_paced(640, rate=1e9)  # all due within 1 µs
+        jm.run_until_done(limit=60)
+        # Every poll but the last finds records: the arrival a poll reports
+        # is only trusted while it lies in the future.
+        assert sum(polls) == 640 and polls[-1] == 0
+        assert all(polls[:-1]) and len(polls) <= 12, polls
+
+
+class TestDriveLoop:
+    """``run_until_done`` and duration-bounded runs share ``drive``."""
+
+    def build(self, crash_at=None, n_records=400):
+        from tests.runtime.helpers import build_linear_job
+
+        def boom(value):
+            if crash_at is not None and value[1] == crash_at:
+                raise ValueError("operator bug")
+            return value
+
+        env = Environment()
+        log = DurableLog()
+        config = make_config(FaultToleranceMode.GLOBAL_ROLLBACK)
+        jm = build_linear_job(
+            env, config, log, n_records=n_records,
+            mid_operator_factory=lambda: MapOperator(boom),
+        )
+        return env, jm
+
+    def test_a_crash_stops_the_drive_at_the_crash_instant(self):
+        from repro.errors import JobError
+
+        env, jm = self.build(crash_at=100)
+        with pytest.raises(JobError, match="map\\[0\\] crashed"):
+            jm.drive(60.0)
+        assert env.now < 1.0  # not at the deadline
+
+    def test_drive_stops_at_the_deadline_or_when_the_job_finishes(self):
+        env, jm = self.build(n_records=4000)  # 2 s of input
+        assert not jm.drive(0.5)
+        assert env.now == 0.5
+        assert jm.drive(60.0)
+        assert 2.0 < env.now < 3.0
+
+    def test_deadline_expiry_still_raises_the_structured_stall_diagnostic(self):
+        from repro.errors import RecoveryStallError
+
+        env, jm = self.build(n_records=4000)
+        with pytest.raises(RecoveryStallError, match="did not finish within 0.5s") as err:
+            jm.run_until_done(limit=0.5)
+        assert err.value.replay_positions
+
+    def test_ending_the_job_does_not_cut_a_hand_stepped_run_short(self):
+        env, jm = self.build(n_records=100)
+        env.run(until=5.0)
+        assert jm._job_finished()
+        assert env.now == 5.0

@@ -234,3 +234,69 @@ def test_signal_killed_waiter_leaves_no_live_callback():
     signal.pulse()  # pulsing the dead waiter is harmless
     env.run(until=2)
     assert woken == []
+
+
+def test_signal_sleep_is_cut_short_by_a_pulse_and_the_stale_timeout_is_inert():
+    env = Environment()
+    signal = Signal(env)
+    woken = []
+
+    def sleeper():
+        yield signal.sleep(5.0)
+        woken.append(env.now)
+        yield env.timeout(100.0)  # must not be cut short by the later pulses
+        woken.append(env.now)
+
+    env.process(sleeper())
+    env.schedule_callback(2.0, signal.pulse)
+    env.schedule_callback(2.0, signal.pulse)  # a second pulse is harmless
+    env.schedule_callback(7.0, signal.pulse)
+    env.run(until=3)
+    assert woken == [2.0]  # at the pulse instant, not at t=5
+    env.run(until=6)  # the pre-empted timeout pops at t=5: a no-op
+    assert woken == [2.0]
+    env.run()
+    assert woken == [2.0, 102.0]
+
+
+def test_signal_sleep_that_times_out_ignores_a_same_instant_pulse():
+    env = Environment()
+    signal = Signal(env)
+    woken = []
+
+    def sleeper():
+        yield signal.sleep(5.0)
+        woken.append(env.now)
+        yield env.timeout(1.0)
+        woken.append(env.now)
+
+    env.process(sleeper())
+    env.run(until=4)
+    # Scheduled after the sleep's own timeout, so at t=5 the timeout wins
+    # and the pulse finds the sleeper already on its next wait.
+    env.schedule_callback(1.0, signal.pulse)
+    env.run()
+    assert woken == [5.0, 6.0]
+
+
+def test_signal_waits_and_sleeps_that_are_never_pulsed_leave_nothing_behind():
+    import gc
+
+    from repro.sim import Event
+
+    env = Environment()
+    control, timers = Signal(env), Signal(env)
+
+    def task():
+        for _ in range(10_000):
+            control.wait()
+            timers.wait()
+            yield control.sleep(1e-3)
+
+    env.process(task())
+    env.run()
+    gc.collect()
+    live = sum(
+        1 for obj in gc.get_objects() if isinstance(obj, Event) and obj.env is env
+    )
+    assert live < 10, live

@@ -31,6 +31,32 @@ def test_self_time_is_attributed_to_processes():
     assert profiler.total_ms() >= 0.0
 
 
+def test_link_callbacks_show_up_as_named_handlers():
+    """A link is a callback state machine, not a process: its wire time is
+    attributed to ``handler:NetworkLink.<method>`` rows."""
+    from repro.config import CostModel
+    from repro.graph.elements import StreamRecord
+    from repro.net import BufferPool, InputChannel, InputGate, NetworkBuffer, NetworkLink
+
+    with profiling() as profilers:
+        env = Environment()
+        cost = CostModel()
+        pool = BufferPool(env, 4 * cost.buffer_size_bytes, cost.buffer_size_bytes)
+        link = NetworkLink(env, cost, name="a->b")
+        channel = InputChannel(env, 0, capacity=8)
+        link.attach_receiver(channel)
+        InputGate(env, [channel])
+        for seq in range(3):
+            assert pool.try_acquire()
+            buffer = NetworkBuffer(0, seq, 0, pool)
+            buffer.append(StreamRecord(seq), 32)
+            link.send(buffer)
+        env.run()
+    rows = {row.name: row for row in profilers[0].rows()}
+    assert rows["handler:NetworkLink._on_transmitted"].calls == 3
+    assert not any(name.startswith("process:link-pump") for name in rows)
+
+
 def test_rows_sorted_by_total_and_top_limits():
     profiler = SimProfiler()
     profiler._calls.update({"process:a": 2, "process:b": 1})
