@@ -5,8 +5,8 @@ emissions partition each recovery incident.  Two emission styles are legal:
 
 * **Marker style** — ``phase-begin``/``phase-mark`` events open contiguous
   segments; the next marker closes the previous one.  Functions that only
-  open phases (e.g. ``LocalReplayCoordinator._recover``) have nothing to
-  pair and are not checked.
+  open phases (e.g. ``GlobalRollbackCoordinator._restart_job``) have
+  nothing to pair and are not checked.
 * **Paired style** — a function that emits *any* ``phase-end`` (e.g.
   ``BaseCoordinator._step``) has opted into begin/end bracketing, and every
   exit — fall-through, early ``return``, escaping ``raise`` — must leave no

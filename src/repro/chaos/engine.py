@@ -12,7 +12,7 @@ from fnmatch import fnmatch
 from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.plan import LINK_KINDS, FaultPlan, FaultSpec
-from repro.config import FaultToleranceMode
+from repro.config import POLICIES
 from repro.errors import ChaosError
 from repro.integrity.corruption import (
     corrupt_checkpoint,
@@ -22,14 +22,6 @@ from repro.integrity.corruption import (
 from repro.net.link import LinkChaos, NetworkLink
 from repro.runtime.task import TaskStatus
 from repro.sim.rng import derive_seed
-
-#: Modes whose upstreams keep in-flight logs — the prerequisite for
-#: sender-driven repair of lossy links.
-_INFLIGHT_MODES = (
-    FaultToleranceMode.CLONOS,
-    FaultToleranceMode.DIVERGENT,
-    FaultToleranceMode.SEEP,
-)
 
 
 class ControlPlaneChaos:
@@ -117,12 +109,13 @@ class ChaosEngine:
         if self._armed:
             raise ChaosError("chaos engine already armed")
         self._armed = True
-        mode = self.jm.config.mode
+        config = self.jm.config
         for spec in self.plan.specs:
-            if spec.kind == "link_loss" and mode not in _INFLIGHT_MODES:
+            if spec.kind == "link_loss" and not config.policy.inflight_log:
+                modes = "/".join(m.name for m, p in POLICIES.items() if p.inflight_log)
                 raise ChaosError(
                     f"link_loss requires an in-flight-log mode "
-                    f"(CLONOS/DIVERGENT/SEEP), job runs {mode.name}"
+                    f"({modes}), job runs {config.mode.name}"
                 )
             self.env.schedule_callback(
                 max(0.0, spec.at - self.env.now), lambda s=spec: self._apply(s)

@@ -3,7 +3,8 @@
 Two orthogonal knobs drive every experiment in the paper:
 
 * the **fault-tolerance scheme** (:class:`FaultToleranceMode`), selecting
-  vanilla-Flink global rollback, Clonos, or one of the weaker baselines, and
+  vanilla-Flink global rollback, Clonos, or one of the weaker baselines —
+  everything a mode decides is its :class:`RecoveryPolicy` row — and
 * the **cost model** (:class:`CostModel`), which turns logical actions
   (processing a record, shipping a buffer, restarting a process) into
   simulated time so that throughput/latency/recovery *shapes* emerge from the
@@ -56,13 +57,68 @@ class Guarantee(enum.Enum):
     @staticmethod
     def of(mode: "FaultToleranceMode", deterministic_job: bool = False) -> "Guarantee":
         """The guarantee a mode provides (SEEP's depends on determinism)."""
-        if mode in (FaultToleranceMode.NONE, FaultToleranceMode.GAP_RECOVERY):
-            return Guarantee.AT_MOST_ONCE
-        if mode is FaultToleranceMode.DIVERGENT:
-            return Guarantee.AT_LEAST_ONCE
-        if mode is FaultToleranceMode.SEEP:
-            return Guarantee.EXACTLY_ONCE if deterministic_job else Guarantee.AT_LEAST_ONCE
-        return Guarantee.EXACTLY_ONCE
+        policy = POLICIES[mode]
+        if deterministic_job and policy.receiver_dedup:
+            # Count-based receiver dedup is exact iff regeneration is
+            # deterministic (Table 1).
+            return Guarantee.EXACTLY_ONCE
+        return policy.guarantee
+
+
+@dataclass(frozen=True)
+class RecoveryPolicy:
+    """Everything a :class:`FaultToleranceMode` decides, in one place.
+
+    Every local mode runs the same supervised six-step pipeline
+    (:class:`~repro.ft.coordinators.ClonosCoordinator`); the policy switches
+    its steps on and off.  Global rollback and NONE recover nothing locally.
+    """
+
+    #: The guarantee under nondeterministic operators (Section 5.4).
+    guarantee: Guarantee
+    #: Recover the failed task alone (standby or fresh deployment) instead
+    #: of restarting the whole job; also deploys standbys.
+    local_recovery: bool = False
+    #: Upstreams log dispatched buffers and serve replay requests (step 4).
+    inflight_log: bool = False
+    #: Tasks piggyback and store determinants; recovery fetches them (step 3).
+    causal_log: bool = False
+    #: Regenerated buffers already delivered are suppressed by the sender
+    #: (step 6); without it the sender resends everything.
+    sender_dedup: bool = False
+    #: SEEP: surviving receivers drop as many replayed records as they
+    #: already consumed since the restored epoch.
+    receiver_dedup: bool = False
+    #: Gap recovery: a restarted source skips to live data.
+    gap_skip: bool = False
+
+    @property
+    def fifo_strict(self) -> bool:
+        """Whether a consumed buffer sequence number may never be
+        re-delivered: true unless local recovery resends without
+        sender-side dedup (divergent, SEEP and gap replay legitimately do)."""
+        return self.sender_dedup or not self.local_recovery
+
+
+#: The one table of per-mode recovery facts; read it via ``JobConfig.policy``.
+POLICIES = {
+    FaultToleranceMode.NONE: RecoveryPolicy(Guarantee.AT_MOST_ONCE),
+    FaultToleranceMode.GLOBAL_ROLLBACK: RecoveryPolicy(Guarantee.EXACTLY_ONCE),
+    FaultToleranceMode.CLONOS: RecoveryPolicy(
+        Guarantee.EXACTLY_ONCE,
+        local_recovery=True, inflight_log=True, causal_log=True, sender_dedup=True,
+    ),
+    FaultToleranceMode.GAP_RECOVERY: RecoveryPolicy(
+        Guarantee.AT_MOST_ONCE, local_recovery=True, gap_skip=True
+    ),
+    FaultToleranceMode.DIVERGENT: RecoveryPolicy(
+        Guarantee.AT_LEAST_ONCE, local_recovery=True, inflight_log=True
+    ),
+    FaultToleranceMode.SEEP: RecoveryPolicy(
+        Guarantee.AT_LEAST_ONCE,
+        local_recovery=True, inflight_log=True, receiver_dedup=True,
+    ),
+}
 
 
 class SpillPolicy(enum.Enum):
@@ -364,10 +420,12 @@ class JobConfig:
         return replace(self, mode=mode, clonos=clonos)
 
     @property
+    def policy(self) -> RecoveryPolicy:
+        """What the fault-tolerance mode decides (derived, not settable)."""
+        return POLICIES[self.mode]
+
+    @property
     def guarantee(self) -> Guarantee:
-        if (
-            self.mode is FaultToleranceMode.CLONOS
-            and self.clonos.determinant_sharing_depth == 0
-        ):
+        if self.policy.causal_log and self.clonos.determinant_sharing_depth == 0:
             return Guarantee.AT_LEAST_ONCE
-        return Guarantee.of(self.mode)
+        return self.policy.guarantee

@@ -1,17 +1,15 @@
-"""Fault-tolerance scheme coordinators (Clonos + the baselines)."""
+"""Fault-tolerance coordinators: the local-recovery pipeline and global rollback."""
 
 from repro.ft.coordinators import (
+    BaseCoordinator,
     ClonosCoordinator,
-    GapRecoveryCoordinator,
     GlobalRollbackCoordinator,
-    LocalReplayCoordinator,
     make_coordinator,
 )
 
 __all__ = [
+    "BaseCoordinator",
     "ClonosCoordinator",
-    "GapRecoveryCoordinator",
     "GlobalRollbackCoordinator",
-    "LocalReplayCoordinator",
     "make_coordinator",
 ]

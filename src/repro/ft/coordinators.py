@@ -1,36 +1,36 @@
-"""Recovery coordinators: one per fault-tolerance scheme.
+"""Recovery coordinators: one local-recovery pipeline, one global rollback.
 
-The job manager delegates detected failures here.  Each coordinator
-implements a published recovery strategy:
+The job manager delegates detected failures here.  Which coordinator runs,
+and which steps of its pipeline are on, is the mode's
+:class:`~repro.config.RecoveryPolicy`:
 
+* :class:`ClonosCoordinator` — every local mode.  The paper's protocol
+  (Section 2.2): activate a standby, reconfigure the network, retrieve the
+  determinant log from downstream, request in-flight replay from upstream,
+  replay with causal consistency, deduplicate at the sender; a global
+  rollback when the Figure-4 analysis finds an orphan (DSD exceeded).  The
+  weaker schemes are the same pipeline with steps switched off: divergent
+  replay fetches no determinants and resends everything (at-least-once,
+  Section 5.4); SEEP adds receiver-side count-based dedup (exact only for
+  deterministic operators, Table 1); gap recovery requests no replay and
+  restarts sources at live data (at-most-once).
 * :class:`GlobalRollbackCoordinator` — vanilla Flink (Section 3.2): cancel
   the whole graph, restart every task from the last completed checkpoint.
-* :class:`ClonosCoordinator` — the paper's protocol (Section 2.2): activate
-  a standby, reconfigure the network, retrieve the determinant log from
-  downstream, request in-flight replay from upstream, replay with causal
-  consistency, deduplicate at the sender.  Falls back to a global rollback
-  when the Figure-4 analysis finds an orphan (DSD exceeded).
-* :class:`LocalReplayCoordinator` — SEEP/at-least-once style local recovery
-  (upstream backup without determinants); with ``seep_dedup`` it adds
-  receiver-side count-based deduplication (correct only for deterministic
-  operators — Table 1).
-* :class:`GapRecoveryCoordinator` — at-most-once gap recovery (Section 5.4):
-  restart the failed task from its checkpoint and *skip* lost input.
+* :class:`BaseCoordinator` alone is mode NONE: a failure fails the job.
 
 Recovery itself is supervised (the ``repro.chaos`` hardening): every step
 of the six-step protocol runs under a per-step deadline, failed attempts
-retry with jittered exponential backoff, and :class:`ClonosCoordinator`
-escalates along a ladder — (1) retry local recovery via the standby,
-(2) re-provision from the DFS checkpoint with a fresh deployment,
-(3) graceful degradation to global-rollback semantics, recorded as a
-``degraded:global_rollback`` recovery event.  Replay requests ride the
-reliable (acked, resent) control plane so a lossy network cannot wedge
-step 4.
+retry with jittered exponential backoff, and the pipeline escalates along
+a ladder — (1) retry local recovery via the standby, (2) re-provision from
+the DFS checkpoint with a fresh deployment, (3) graceful degradation to
+global-rollback semantics, recorded as a ``degraded:global_rollback``
+recovery event.  Replay requests ride the reliable (acked, resent) control
+plane so a lossy network cannot wedge step 4.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.config import FaultToleranceMode
 from repro.core.causal_log import merge_bundles
@@ -43,7 +43,6 @@ from repro.core.dsd import (
 from repro.errors import (
     ExternalSystemError,
     IntegrityError,
-    JobError,
     RecoveryError,
     ReproError,
 )
@@ -52,28 +51,28 @@ from repro.runtime.task import TaskStatus
 
 
 def make_coordinator(jm):
-    mode = jm.config.mode
-    if mode is FaultToleranceMode.GLOBAL_ROLLBACK:
+    if jm.config.mode is FaultToleranceMode.GLOBAL_ROLLBACK:
         return GlobalRollbackCoordinator(jm)
-    if mode is FaultToleranceMode.CLONOS:
-        return ClonosCoordinator(jm)
-    if mode in (FaultToleranceMode.DIVERGENT, FaultToleranceMode.SEEP):
-        return LocalReplayCoordinator(jm, seep_dedup=mode is FaultToleranceMode.SEEP)
-    if mode is FaultToleranceMode.GAP_RECOVERY:
-        return GapRecoveryCoordinator(jm)
-    if mode is FaultToleranceMode.NONE:
-        return NoRecoveryCoordinator(jm)
-    raise JobError(f"no coordinator for mode {mode}")
+    return ClonosCoordinator(jm) if jm.config.policy.local_recovery else BaseCoordinator(jm)
 
 
 class BaseCoordinator:
+    """Shared recovery machinery; on its own, the coordinator of a mode that
+    cannot recover (NONE)."""
+
     def __init__(self, jm):
         self.jm = jm
         self.env = jm.env
         self.cost = jm.config.cost
+        self.degradations = 0
+        #: Who takes the global rung of the ladder: a local-recovery
+        #: pipeline hands over to a global rollback, anything else is it.
+        self._fallback = self
 
     def on_failure_detected(self, task_name: str) -> None:
-        raise NotImplementedError
+        raise RecoveryError(
+            f"task {task_name} failed and mode={self.jm.config.mode.name}"
+        )
 
     def degrade(self, task_name: str, reason: str) -> None:
         """A recovery artifact needed for exact replay is corrupt beyond
@@ -87,13 +86,12 @@ class BaseCoordinator:
             (self.env.now, "degraded:global_rollback", task_name)
         )
         jm.trace.emit(self.env.now, "degraded", task_name, reason=reason)
-        if hasattr(self, "degradations"):
-            self.degradations += 1
-        fallback = getattr(self, "_fallback", None)
-        if fallback is not None:
-            fallback.on_failure_detected(task_name)
-        else:
-            self.on_failure_detected(task_name)
+        self.escalate(task_name)
+
+    def escalate(self, task_name: str) -> None:
+        """Take the global rung of the escalation ladder."""
+        self.degradations += 1
+        self._fallback.on_failure_detected(task_name)
 
     # -- recovery supervision ---------------------------------------------------------
 
@@ -208,6 +206,12 @@ class BaseCoordinator:
             for flat_idx, down_name, link in channels:
                 channel = task.output_channel_by_flat_index(flat_idx)
                 receiver = link.receiver
+                if receiver is None and task.inflight is not None:
+                    # The downstream is dead too: park output in the log (as
+                    # kill_task does for surviving upstreams) until its
+                    # replacement's replay request, or live buffers would
+                    # race ahead of the replayed ones.
+                    channel.replaying = True
                 if receiver is not None:
                     channel.suppress_until_seq = receiver.delivered_seq
                     # If the surviving receiver is mid-alignment waiting on
@@ -277,11 +281,6 @@ class BaseCoordinator:
                 on_retry=note_retry,
                 on_give_up=note_give_up,
             )
-
-
-class NoRecoveryCoordinator(BaseCoordinator):
-    def on_failure_detected(self, task_name: str) -> None:
-        raise RecoveryError(f"task {task_name} failed and mode=NONE")
 
 
 class GlobalRollbackCoordinator(BaseCoordinator):
@@ -479,7 +478,8 @@ class GlobalRollbackCoordinator(BaseCoordinator):
 
 
 class ClonosCoordinator(BaseCoordinator):
-    """The six-step protocol of Section 2.2, per failed task — supervised.
+    """The six-step protocol of Section 2.2, per failed task — supervised —
+    for every local mode, with the steps its policy switches off skipped.
 
     Failure of an attempt escalates along the ladder: retry locally via the
     standby, then re-provision a fresh deployment from the DFS checkpoint,
@@ -489,33 +489,17 @@ class ClonosCoordinator(BaseCoordinator):
 
     def __init__(self, jm):
         super().__init__(jm)
+        self.policy = jm.config.policy
         self.fallbacks_to_global = 0
-        self.degradations = 0
         self._fallback = GlobalRollbackCoordinator(jm)
 
     def on_failure_detected(self, task_name: str) -> None:
         if self._fallback._restarting:
             return
         vertex = self.jm.vertices[task_name]
-        dsd = self.jm.config.clonos.determinant_sharing_depth
-        case = classify_failed_task(
-            self.jm.adjacency, set(self.jm.dead_tasks), task_name, dsd
-        )
-        if case is RecoveryCase.FREE and self._externalized_dependent(task_name):
-            # Figure 4 calls this FREE — every dependent failed with it, so
-            # a fresh (divergent) execution is consistent *inside* the job.
-            # But a failed downstream sink that already externalized output
-            # leaves a dependent the analysis cannot see: the external
-            # system's stored order (Section 5.5).  Regenerating that
-            # sink's input without determinants would silently corrupt its
-            # count-based dedup, so treat the task as orphaned instead.
-            case = RecoveryCase.ORPHANED
-            self.jm.recovery_events.append(
-                (self.env.now, "orphan-externalized-output", task_name)
-            )
-            self.jm.trace.emit(
-                self.env.now, "orphan-externalized-output", task_name
-            )
+        # Figure 4 applies where determinants are logged; a mode without a
+        # causal log recovers determinant-free by policy (no case).
+        case = self._classify(task_name) if self.policy.causal_log else None
         if case is RecoveryCase.ORPHANED:
             if self.jm.config.clonos.fallback_to_global:
                 # Figure 4, DSD < D, orphaned leaf: trigger a global rollback
@@ -535,6 +519,29 @@ class ClonosCoordinator(BaseCoordinator):
         self.jm.recovering_tasks.add(task_name)
         self._spawn_recovery(vertex, self._supervised_recovery(vertex, case))
 
+    def _classify(self, task_name: str) -> RecoveryCase:
+        """The Figure-4 leaf for this failure, externalized output included."""
+        dsd = self.jm.config.clonos.determinant_sharing_depth
+        case = classify_failed_task(
+            self.jm.adjacency, set(self.jm.dead_tasks), task_name, dsd
+        )
+        if case is RecoveryCase.FREE and self._externalized_dependent(task_name):
+            # Figure 4 calls this FREE — every dependent failed with it, so
+            # a fresh (divergent) execution is consistent *inside* the job.
+            # But a failed downstream sink that already externalized output
+            # leaves a dependent the analysis cannot see: the external
+            # system's stored order (Section 5.5).  Regenerating that
+            # sink's input without determinants would silently corrupt its
+            # count-based dedup, so treat the task as orphaned instead.
+            case = RecoveryCase.ORPHANED
+            self.jm.recovery_events.append(
+                (self.env.now, "orphan-externalized-output", task_name)
+            )
+            self.jm.trace.emit(
+                self.env.now, "orphan-externalized-output", task_name
+            )
+        return case
+
     def _externalized_dependent(self, task_name: str) -> bool:
         """Does any *strictly* downstream task hold externalized output?
 
@@ -551,12 +558,12 @@ class ClonosCoordinator(BaseCoordinator):
                 return True
         return False
 
-    def _supervised_recovery(self, vertex, case: RecoveryCase):
+    def _supervised_recovery(self, vertex, case: Optional[RecoveryCase]):
         """The escalation ladder around :meth:`_attempt_recovery`."""
         jm = self.jm
-        policy = jm.config.clonos.recovery_retry
+        retry = jm.config.clonos.recovery_retry
         rng = jm.streams.stream(f"recovery-backoff:{vertex.name}")
-        attempts = max(1, policy.max_attempts)
+        attempts = max(1, retry.max_attempts)
         for attempt in range(attempts):
             # Rung 1 uses the standby; later rungs re-provision from the
             # DFS checkpoint with a fresh deployment.
@@ -586,9 +593,8 @@ class ClonosCoordinator(BaseCoordinator):
                 )
                 break
             if attempt < attempts - 1:
-                yield self.env.timeout(policy.delay(attempt, rng))
+                yield self.env.timeout(retry.delay(attempt, rng))
         # Rung 3: graceful degradation to global-rollback semantics.
-        self.degradations += 1
         jm.recovery_events.append(
             (self.env.now, "degraded:global_rollback", vertex.name)
         )
@@ -596,7 +602,7 @@ class ClonosCoordinator(BaseCoordinator):
             self.env.now, "degraded", vertex.name, reason="ladder-exhausted"
         )
         jm.recovering_tasks.discard(vertex.name)
-        self._fallback.on_failure_detected(vertex.name)
+        self.escalate(vertex.name)
 
     def _latest_epoch_corrupt(self, vertex) -> bool:
         """Whether the newest completed checkpoint of this task exists but
@@ -610,10 +616,14 @@ class ClonosCoordinator(BaseCoordinator):
             and not jm.snapshot_store.peek_valid(vertex.name, cid)
         )
 
-    def _attempt_recovery(self, vertex, case: RecoveryCase, prefer_standby: bool):
-        """One pass over the six steps, each under the step deadline.
-        Returns None on success, else a label naming the failed step."""
+    def _attempt_recovery(
+        self, vertex, case: Optional[RecoveryCase], prefer_standby: bool
+    ):
+        """One pass over the six steps, each under the step deadline, minus
+        the steps the policy switches off.  Returns None on success, else a
+        label naming the failed step."""
         jm = self.jm
+        policy = self.policy
         deadline = jm.config.clonos.recovery_step_deadline
         standby = vertex.standby
         fast_path = prefer_standby and standby is not None and standby.usable
@@ -630,8 +640,6 @@ class ClonosCoordinator(BaseCoordinator):
         restore_epoch = snapshot.checkpoint_id if snapshot is not None else 0
         # Step 2: reconfigure network connections (+ dedup handshake).
         task = self._rebuild_task(vertex, snapshot)
-        if jm.config.mode is FaultToleranceMode.CLONOS:
-            task.seep_dedup = False
         # Step 3: retrieve the determinant log from downstream tasks.  An
         # orphaned task with fallback disabled skips this (and therefore
         # dedup): divergent replay, at-least-once.
@@ -647,185 +655,19 @@ class ClonosCoordinator(BaseCoordinator):
                 self._dismantle(vertex, task)
                 jm.cluster.release(vertex.name)
                 return status
-        if case is RecoveryCase.ORPHANED:
+        if case is RecoveryCase.ORPHANED or not policy.sender_dedup:
+            # No determinants: suppression would misalign with the
+            # regenerated (divergent) buffer boundaries, so the sender
+            # resends everything.
             for channel in task.all_output_channels:
                 channel.suppress_until_seq = -1
+        if policy.receiver_dedup:
+            self._arm_receiver_dedup(vertex, restore_epoch)
         jm.dead_tasks.discard(vertex.name)
         # Steps 5+6 run inside the task: determinant-driven replay with
-        # sender-side dedup.  If nothing needs replaying the task reports
-        # recovered immediately.
+        # sender-side dedup; the task reports recovered when replay ends.
         task.start(snapshot, recovery_bundle=bundle, replay_from_epoch=restore_epoch)
-        if task.status is TaskStatus.RUNNING:
-            jm.recovering_tasks.discard(vertex.name)
-        # Step 4: request in-flight replay from upstream (parallel to 3).
-        self._request_replays(vertex, restore_epoch)
-        # HA restored: if the standby was consumed by a crash of its own,
-        # re-provision a fresh one (hydrated from the DFS checkpoint).
-        if jm._uses_standbys() and standby is not None and standby.failed:
-            jm.reprovision_standby(vertex)
-        return None
-
-    def _fetch_determinants(self, vertex):
-        """Collect this task's replicated bundle from every surviving holder
-        within the sharing depth, charging RPC + transfer time."""
-        jm = self.jm
-        dsd = jm.config.clonos.determinant_sharing_depth
-        holder_names = downstream_within(jm.adjacency, vertex.name, dsd)
-        bundles = []
-        total_bytes = 0
-        for name in sorted(holder_names):
-            holder = jm.vertices[name].task
-            if holder is None or holder.status is TaskStatus.FAILED:
-                continue
-            if holder.causal is None:
-                continue
-            stored = holder.causal.stored_bundle_for(vertex.name)
-            if stored is not None:
-                if jm.integrity.validate:
-                    # A truncated/corrupt replica cannot be told apart from a
-                    # legitimately short prefix, so a holder failing its
-                    # checksum fails the step: the ladder degrades rather
-                    # than risk divergent replay from partial determinants.
-                    try:
-                        stored.verify(owner=f"{name}:{vertex.name}")
-                    except IntegrityError as exc:
-                        jm.integrity.record_failure(
-                            exc.artifact, exc.name, str(exc)
-                        )
-                        jm.recovery_events.append(
-                            (self.env.now, "integrity:determinant-log", name)
-                        )
-                        raise
-                    jm.integrity.record_ok("determinant-log")
-                bundles.append(stored)
-                total_bytes += stored.size_bytes()
-        # Sinks have no downstream holder: the external system stores their
-        # determinants alongside the output (Section 5.5) and returns them
-        # here, so sink replay is byte-identical and count-based output
-        # dedup stays sound.
-        operator = getattr(jm.vertices[vertex.name].task, "operator", None)
-        fetch_external = getattr(operator, "external_determinant_bundle", None)
-        if fetch_external is not None:
-            stored = fetch_external(vertex.name)
-            if stored is not None:
-                if jm.integrity.validate:
-                    try:
-                        stored.verify(owner=f"external:{vertex.name}")
-                    except IntegrityError as exc:
-                        jm.integrity.record_failure(exc.artifact, exc.name, str(exc))
-                        jm.recovery_events.append(
-                            (self.env.now, "integrity:determinant-log", vertex.name)
-                        )
-                        raise
-                    jm.integrity.record_ok("determinant-log")
-                bundles.append(stored)
-                total_bytes += stored.size_bytes()
-        yield self.env.timeout(
-            2 * self.cost.rpc_latency + self.cost.transmission_time(total_bytes)
-        )
-        return merge_bundles(bundles)
-
-
-class LocalReplayCoordinator(BaseCoordinator):
-    """Local recovery with upstream backup but no determinants.
-
-    ``seep_dedup=False``: divergent replay, at-least-once (Section 5.4).
-    ``seep_dedup=True``: SEEP-style receiver-side dedup by record counts —
-    consistent only when operators are deterministic (Table 1).
-    """
-
-    def __init__(self, jm, seep_dedup: bool):
-        super().__init__(jm)
-        self.seep_dedup = seep_dedup
-
-    def on_failure_detected(self, task_name: str) -> None:
-        self.jm.recovering_tasks.add(task_name)
-        vertex = self.jm.vertices[task_name]
-        self._spawn_recovery(vertex, self._recover(vertex))
-
-    def _recover(self, vertex):
-        jm = self.jm
-        fast_path = vertex.standby is not None and vertex.standby.usable
-        jm.trace.emit(
-            self.env.now,
-            "phase-begin",
-            vertex.name,
-            phase="standby-activation" if fast_path else "checkpoint-restore",
-        )
-        try:
-            snapshot = yield from self._obtain_snapshot(vertex)
-        except RecoveryError:
-            # Standby crashed during activation: fall back to a fresh
-            # deployment from the DFS checkpoint.
-            jm.recovery_events.append(
-                (self.env.now, "recovery-retry:standby-activation:error", vertex.name)
-            )
-            jm.trace.emit(
-                self.env.now, "phase-begin", vertex.name, phase="checkpoint-restore"
-            )
-            snapshot = yield from self._obtain_snapshot(vertex, prefer_standby=False)
-        restore_epoch = snapshot.checkpoint_id if snapshot is not None else 0
-        task = self._rebuild_task(vertex, snapshot)
-        task.seep_dedup = self.seep_dedup
-        # No determinants: suppression would misalign with the regenerated
-        # (divergent) buffer boundaries, so the sender resends everything.
-        for channel in task.all_output_channels:
-            channel.suppress_until_seq = -1
-        if self.seep_dedup:
-            # Arm receiver-side dedup at every surviving direct downstream.
-            for _edge, channels in vertex.out_links:
-                for _flat_idx, down_name, link in channels:
-                    receiver = link.receiver
-                    down_task = jm.vertices[down_name].task
-                    if (
-                        receiver is not None
-                        and down_task is not None
-                        and down_task.status is not TaskStatus.FAILED
-                    ):
-                        down_task.enter_seep_dedup(receiver.index, restore_epoch)
-        jm.dead_tasks.discard(vertex.name)
-        task.start(snapshot)
-        jm.recovering_tasks.discard(vertex.name)
-        jm.recovery_events.append((self.env.now, "recovered", vertex.name))
-        jm.trace.emit(self.env.now, "task-recovered", vertex.name)
-        self._request_replays(vertex, restore_epoch)
-
-
-class GapRecoveryCoordinator(BaseCoordinator):
-    """At-most-once: restart from checkpoint, skip everything lost."""
-
-    def on_failure_detected(self, task_name: str) -> None:
-        self.jm.recovering_tasks.add(task_name)
-        vertex = self.jm.vertices[task_name]
-        self._spawn_recovery(vertex, self._recover(vertex))
-
-    def _recover(self, vertex):
-        jm = self.jm
-        fast_path = vertex.standby is not None and vertex.standby.usable
-        jm.trace.emit(
-            self.env.now,
-            "phase-begin",
-            vertex.name,
-            phase="standby-activation" if fast_path else "checkpoint-restore",
-        )
-        try:
-            snapshot = yield from self._obtain_snapshot(vertex)
-        except RecoveryError:
-            jm.recovery_events.append(
-                (self.env.now, "recovery-retry:standby-activation:error", vertex.name)
-            )
-            jm.trace.emit(
-                self.env.now, "phase-begin", vertex.name, phase="checkpoint-restore"
-            )
-            snapshot = yield from self._obtain_snapshot(vertex, prefer_standby=False)
-        task = self._rebuild_task(vertex, snapshot)
-        # Gap recovery skips the lost data instead of regenerating it, so
-        # sequence-number dedup is meaningless: new output is new data.
-        for channel in task.all_output_channels:
-            channel.suppress_until_seq = -1
-        jm.dead_tasks.discard(vertex.name)
-        task.start(snapshot)
-        if vertex.is_source and isinstance(task.operator, KafkaSource):
+        if policy.gap_skip and vertex.is_source and isinstance(task.operator, KafkaSource):
             # Jump over the gap: resume from live data, not the checkpoint.
             partition = task.operator.log.partition(
                 task.operator.topic, vertex.subtask_index
@@ -833,6 +675,78 @@ class GapRecoveryCoordinator(BaseCoordinator):
             task.operator.offset = max(
                 task.operator.offset, partition.end_offset(self.env.now)
             )
-        jm.recovering_tasks.discard(vertex.name)
-        jm.recovery_events.append((self.env.now, "recovered", vertex.name))
-        jm.trace.emit(self.env.now, "task-recovered", vertex.name)
+        if bundle is None:
+            # Nothing to replay: the task is live from here.
+            jm.task_recovered(task)
+        # Step 4: request in-flight replay from upstream (parallel to 3).
+        if policy.inflight_log:
+            self._request_replays(vertex, restore_epoch)
+        # HA restored: if the standby was consumed by a crash of its own,
+        # re-provision a fresh one (hydrated from the DFS checkpoint).
+        if jm._uses_standbys() and standby is not None and standby.failed:
+            jm.reprovision_standby(vertex)
+        return None
+
+    def _arm_receiver_dedup(self, vertex, from_epoch: int) -> None:
+        """SEEP: every surviving direct downstream drops as many replayed
+        records as it already consumed since ``from_epoch``."""
+        for _edge, channels in vertex.out_links:
+            for _flat_idx, down_name, link in channels:
+                receiver = link.receiver
+                down_task = self.jm.vertices[down_name].task
+                if (
+                    receiver is not None
+                    and down_task is not None
+                    and down_task.status is not TaskStatus.FAILED
+                ):
+                    down_task.enter_seep_dedup(receiver.index, from_epoch)
+
+    def _fetch_determinants(self, vertex):
+        """Collect this task's replicated bundle from every surviving holder
+        within the sharing depth, charging RPC + transfer time."""
+        jm = self.jm
+        bundles = []
+
+        def take(stored, owner: str, holder: str) -> None:
+            if stored is None:
+                return
+            if jm.integrity.validate:
+                # A truncated/corrupt replica cannot be told apart from a
+                # legitimately short prefix, so a holder failing its
+                # checksum fails the step: the ladder degrades rather than
+                # risk divergent replay from partial determinants.
+                try:
+                    stored.verify(owner=owner)
+                except IntegrityError as exc:
+                    jm.integrity.record_failure(exc.artifact, exc.name, str(exc))
+                    jm.recovery_events.append(
+                        (self.env.now, "integrity:determinant-log", holder)
+                    )
+                    raise
+                jm.integrity.record_ok("determinant-log")
+            bundles.append(stored)
+
+        dsd = jm.config.clonos.determinant_sharing_depth
+        for name in sorted(downstream_within(jm.adjacency, vertex.name, dsd)):
+            holder = jm.vertices[name].task
+            if holder is None or holder.status is TaskStatus.FAILED:
+                continue
+            if holder.causal is not None:
+                take(
+                    holder.causal.stored_bundle_for(vertex.name),
+                    f"{name}:{vertex.name}",
+                    name,
+                )
+        # Sinks have no downstream holder: the external system stores their
+        # determinants alongside the output (Section 5.5) and returns them
+        # here, so sink replay is byte-identical and count-based output
+        # dedup stays sound.
+        operator = getattr(jm.vertices[vertex.name].task, "operator", None)
+        fetch_external = getattr(operator, "external_determinant_bundle", None)
+        if fetch_external is not None:
+            take(fetch_external(vertex.name), f"external:{vertex.name}", vertex.name)
+        total_bytes = sum(stored.size_bytes() for stored in bundles)
+        yield self.env.timeout(
+            2 * self.cost.rpc_latency + self.cost.transmission_time(total_bytes)
+        )
+        return merge_bundles(bundles)

@@ -277,13 +277,8 @@ class RecoveryWatchdog:
             last_progress_at=self._last_progress_at,
             stall_timeout=self.stall_timeout,
         )
-        coordinator = jm.coordinator
-        if hasattr(coordinator, "degradations"):
-            coordinator.degradations += 1
-        fallback = getattr(coordinator, "_fallback", None)
-        target = fallback if fallback is not None else coordinator
         try:
-            target.on_failure_detected(victim)
+            jm.coordinator.escalate(victim)
         except ReproError:
             # A mode that cannot escalate (NONE) or a restart that is itself
             # wedged: the grace window expires into the terminal stage.

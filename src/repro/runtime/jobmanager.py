@@ -274,16 +274,7 @@ class JobManager:
         )
 
     def _uses_standbys(self) -> bool:
-        return (
-            self.config.mode
-            in (
-                FaultToleranceMode.CLONOS,
-                FaultToleranceMode.DIVERGENT,
-                FaultToleranceMode.SEEP,
-                FaultToleranceMode.GAP_RECOVERY,
-            )
-            and self.config.clonos.standby_tasks
-        )
+        return self.config.policy.local_recovery and self.config.clonos.standby_tasks
 
     def _place(self, vertex: VertexRuntime) -> None:
         vertex.node_id = self.cluster.allocate(vertex.name)
@@ -362,11 +353,11 @@ class JobManager:
         task._poison_active = self.poison.is_armed(vertex.name)
 
         num_out_channels = sum(len(chans) for (_e, chans) in vertex.out_links)
-        mode = self.config.mode
+        policy = self.config.policy
         causal: Optional[CausalLogManager] = None
         inflight: Optional[InFlightLog] = None
         dsd = self.config.clonos.determinant_sharing_depth
-        if mode is FaultToleranceMode.CLONOS:
+        if policy.inflight_log and num_out_channels:
             inflight = InFlightLog(
                 self.env,
                 self.cost,
@@ -375,20 +366,9 @@ class JobManager:
                 self.config.clonos.spill_threshold_fraction,
                 name=vertex.name,
                 monitor=self.integrity,
-            ) if num_out_channels else None
-            if dsd is None or dsd > 0:
-                causal = CausalLogManager(vertex.name, num_out_channels, dsd)
-        elif mode in (FaultToleranceMode.DIVERGENT, FaultToleranceMode.SEEP):
-            if num_out_channels:
-                inflight = InFlightLog(
-                    self.env,
-                    self.cost,
-                    self.config.clonos.inflight_pool_bytes,
-                    self.config.clonos.spill_policy,
-                    self.config.clonos.spill_threshold_fraction,
-                    name=vertex.name,
-                    monitor=self.integrity,
-                )
+            )
+        if policy.causal_log and (dsd is None or dsd > 0):
+            causal = CausalLogManager(vertex.name, num_out_channels, dsd)
         if causal is not None:
             services = CausalServices(
                 self.env,
@@ -406,7 +386,6 @@ class JobManager:
                 self.env, self.external, vertex.name, root_seed=self.config.seed
             )
         task.attach_ft(services, causal, inflight)
-        task.seep_dedup = mode is FaultToleranceMode.SEEP
         task.make_context()
 
         # Inputs.

@@ -18,7 +18,7 @@ import enum
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.analysis.invariants import SANITIZER
-from repro.config import FaultToleranceMode, JobConfig
+from repro.config import JobConfig
 from repro.core.causal_log import CausalLogManager
 from repro.core.determinants import (
     BarrierInjectDeterminant,
@@ -181,7 +181,7 @@ class StreamTask:
         #: per (channel, epoch); on upstream replay, drop the first N
         #: re-received records.  Correct iff upstream regeneration is
         #: deterministic — which is exactly the assumption Clonos removes.
-        self.seep_dedup = False
+        self.seep_dedup = config.policy.receiver_dedup
         self._seep_counts: Dict[int, Dict[int, int]] = {}
         self._seep_channel_epoch: Dict[int, int] = {}
         self._seep_drop: Dict[int, int] = {}
@@ -190,13 +190,7 @@ class StreamTask:
         #: Output buffer pool (set by deployment when the task has outputs);
         #: the sanitizer's leak accounting reads it at end of job.
         self.out_pool = None
-        #: Exactly-once modes must never re-deliver a consumed sequence
-        #: number; at-least-once replay (SEEP/divergent) legitimately does.
-        self._fifo_strict = config.mode in (
-            FaultToleranceMode.NONE,
-            FaultToleranceMode.GLOBAL_ROLLBACK,
-            FaultToleranceMode.CLONOS,
-        )
+        self._fifo_strict = config.policy.fifo_strict
 
     # -- wiring (done by deployment) ------------------------------------------------
 
@@ -519,10 +513,7 @@ class StreamTask:
                     # both ends of a channel into disagreeing log positions.
                     # Under fallback_to_global that is an announced global
                     # rollback, not a job crash; without it, surface the bug.
-                    if (
-                        self.config.mode is not FaultToleranceMode.CLONOS
-                        or not self.config.clonos.fallback_to_global
-                    ):
+                    if not self.config.clonos.fallback_to_global:
                         raise
                     self.jm.recovery_events.append(
                         (self.env.now, "determinant-delta-gap", self.name)
