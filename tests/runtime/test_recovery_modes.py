@@ -14,7 +14,11 @@ from repro.trace.timeline import build_timeline
 
 from tests.chaos.helpers import deploy_chaos_chain
 from tests.runtime.helpers import make_config
-from tests.runtime.test_recovery import TagOperator, run_job
+from tests.runtime.test_recovery import (
+    TagOperator,
+    run_connected_pair_failure,
+    run_job,
+)
 
 #: mode -> (in-flight log on tasks with outputs, causal log, standbys,
 #: receiver-side SEEP dedup).
@@ -99,6 +103,44 @@ def test_victim_recovery_events_and_phases(mode):
 def test_mode_none_fails_the_job():
     with pytest.raises(RecoveryError, match=r"mid\[0\] failed and mode=NONE"):
         run_job(Mode.NONE, TagOperator, kill=["mid[0]"])
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.name)
+def test_detection_delay(mode):
+    """Heartbeat timeout when the whole job rolls back (vanilla Flink),
+    connection reset otherwise -- including NONE, which then fails."""
+    env, _log, jm = deploy_chaos_chain(mode=mode)
+    env.schedule_callback(0.2, lambda: jm.kill_task("stage1[0]"))
+    try:
+        env.run(until=1.0)
+    except RecoveryError:
+        assert mode is Mode.NONE
+    ((killed, _victim),) = jm.failures_injected
+    (detected,) = [t for t, kind, _who in jm.recovery_events if kind == "detected"]
+    cost = jm.config.cost
+    expected = (
+        cost.heartbeat_timeout
+        if mode is Mode.GLOBAL_ROLLBACK
+        else cost.connection_failure_detection
+    )
+    assert detected - killed == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("mode", [Mode.CLONOS, Mode.GLOBAL_ROLLBACK], ids=lambda m: m.name)
+def test_connected_pair_rolls_the_job_back_once(mode):
+    """Two connected kills beyond DSD=1: Clonos falls back to the global
+    rung (Figure 4's orphan), global rollback restarts anyway -- either way
+    exactly one job restart covers both failures, at-least-once."""
+    config = make_config(mode, checkpoint_interval=0.3)
+    config.clonos.determinant_sharing_depth = 1
+    jm, counts = run_connected_pair_failure(config)
+    kinds = [kind for _t, kind, _who in jm.recovery_events]
+    assert kinds.count("detected") == 2
+    assert kinds.count("global-restart-begin") == 1
+    assert kinds.count("global-restart-done") == 1
+    assert kinds.count("orphan-fallback") == (1 if mode is Mode.CLONOS else 0)
+    assert set(counts) == set(range(3000))
+    assert sum(counts.values()) - len(counts) == 176
 
 
 @pytest.mark.parametrize(
