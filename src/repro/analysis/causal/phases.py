@@ -5,10 +5,10 @@ emissions partition each recovery incident.  Two emission styles are legal:
 
 * **Marker style** — ``phase-begin``/``phase-mark`` events open contiguous
   segments; the next marker closes the previous one.  Functions that only
-  open phases (e.g. ``GlobalRollbackCoordinator._restart_job``) have
+  open phases (e.g. ``RecoveryCoordinator._restart_job``) have
   nothing to pair and are not checked.
 * **Paired style** — a function that emits *any* ``phase-end`` (e.g.
-  ``BaseCoordinator._step``) has opted into begin/end bracketing, and every
+  ``RecoveryCoordinator._step``) has opted into begin/end bracketing, and every
   exit — fall-through, early ``return``, escaping ``raise`` — must leave no
   phase open, or the soaks record a phase that never closes on exactly the
   code path chaos never hit.

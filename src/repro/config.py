@@ -65,20 +65,30 @@ class Guarantee(enum.Enum):
         return policy.guarantee
 
 
+class RecoveryScope(enum.Enum):
+    """What a failure rolls back (Falkirk Wheel's frontier choice): the
+    failed task alone (standby or fresh deployment), or every task to the
+    last completed checkpoint (vanilla Flink, Section 3.2)."""
+
+    TASK = "task"
+    JOB = "job"
+
+
 @dataclass(frozen=True)
 class RecoveryPolicy:
     """Everything a :class:`FaultToleranceMode` decides, in one place.
 
-    Every local mode runs the same supervised six-step pipeline
-    (:class:`~repro.ft.coordinators.ClonosCoordinator`); the policy switches
-    its steps on and off.  Global rollback and NONE recover nothing locally.
+    One :class:`~repro.ft.coordinators.RecoveryCoordinator` serves every
+    mode.  Its ``scope`` says what a failure rolls back; for the task scope,
+    the other fields switch the steps of the supervised six-step pipeline on
+    and off.  A mode without a scope (NONE) cannot recover at all.
     """
 
     #: The guarantee under nondeterministic operators (Section 5.4).
     guarantee: Guarantee
-    #: Recover the failed task alone (standby or fresh deployment) instead
-    #: of restarting the whole job; also deploys standbys.
-    local_recovery: bool = False
+    #: What a detected failure rolls back; task scope also deploys standbys.
+    #: None: nothing, the failure fails the job.
+    scope: Optional[RecoveryScope] = None
     #: Upstreams log dispatched buffers and serve replay requests (step 4).
     inflight_log: bool = False
     #: Tasks piggyback and store determinants; recovery fetches them (step 3).
@@ -95,28 +105,30 @@ class RecoveryPolicy:
     @property
     def fifo_strict(self) -> bool:
         """Whether a consumed buffer sequence number may never be
-        re-delivered: true unless local recovery resends without
+        re-delivered: true unless task-scope recovery resends without
         sender-side dedup (divergent, SEEP and gap replay legitimately do)."""
-        return self.sender_dedup or not self.local_recovery
+        return self.sender_dedup or self.scope is not RecoveryScope.TASK
 
 
 #: The one table of per-mode recovery facts; read it via ``JobConfig.policy``.
 POLICIES = {
     FaultToleranceMode.NONE: RecoveryPolicy(Guarantee.AT_MOST_ONCE),
-    FaultToleranceMode.GLOBAL_ROLLBACK: RecoveryPolicy(Guarantee.EXACTLY_ONCE),
+    FaultToleranceMode.GLOBAL_ROLLBACK: RecoveryPolicy(
+        Guarantee.EXACTLY_ONCE, scope=RecoveryScope.JOB
+    ),
     FaultToleranceMode.CLONOS: RecoveryPolicy(
         Guarantee.EXACTLY_ONCE,
-        local_recovery=True, inflight_log=True, causal_log=True, sender_dedup=True,
+        scope=RecoveryScope.TASK, inflight_log=True, causal_log=True, sender_dedup=True,
     ),
     FaultToleranceMode.GAP_RECOVERY: RecoveryPolicy(
-        Guarantee.AT_MOST_ONCE, local_recovery=True, gap_skip=True
+        Guarantee.AT_MOST_ONCE, scope=RecoveryScope.TASK, gap_skip=True
     ),
     FaultToleranceMode.DIVERGENT: RecoveryPolicy(
-        Guarantee.AT_LEAST_ONCE, local_recovery=True, inflight_log=True
+        Guarantee.AT_LEAST_ONCE, scope=RecoveryScope.TASK, inflight_log=True
     ),
     FaultToleranceMode.SEEP: RecoveryPolicy(
         Guarantee.AT_LEAST_ONCE,
-        local_recovery=True, inflight_log=True, receiver_dedup=True,
+        scope=RecoveryScope.TASK, inflight_log=True, receiver_dedup=True,
     ),
 }
 

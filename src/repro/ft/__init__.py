@@ -1,15 +1,5 @@
-"""Fault-tolerance coordinators: the local-recovery pipeline and global rollback."""
+"""Fault tolerance: one recovery coordinator, scoped by the mode's policy."""
 
-from repro.ft.coordinators import (
-    BaseCoordinator,
-    ClonosCoordinator,
-    GlobalRollbackCoordinator,
-    make_coordinator,
-)
+from repro.ft.coordinators import RecoveryCoordinator
 
-__all__ = [
-    "BaseCoordinator",
-    "ClonosCoordinator",
-    "GlobalRollbackCoordinator",
-    "make_coordinator",
-]
+__all__ = ["RecoveryCoordinator"]

@@ -1,22 +1,22 @@
-"""Recovery coordinators: one local-recovery pipeline, one global rollback.
+"""The recovery coordinator: one object for every fault-tolerance mode.
 
-The job manager delegates detected failures here.  Which coordinator runs,
-and which steps of its pipeline are on, is the mode's
-:class:`~repro.config.RecoveryPolicy`:
+The job manager delegates detected failures here.  What a failure rolls
+back is the ``scope`` of the mode's :class:`~repro.config.RecoveryPolicy`:
 
-* :class:`ClonosCoordinator` — every local mode.  The paper's protocol
-  (Section 2.2): activate a standby, reconfigure the network, retrieve the
-  determinant log from downstream, request in-flight replay from upstream,
-  replay with causal consistency, deduplicate at the sender; a global
-  rollback when the Figure-4 analysis finds an orphan (DSD exceeded).  The
-  weaker schemes are the same pipeline with steps switched off: divergent
-  replay fetches no determinants and resends everything (at-least-once,
-  Section 5.4); SEEP adds receiver-side count-based dedup (exact only for
-  deterministic operators, Table 1); gap recovery requests no replay and
-  restarts sources at live data (at-most-once).
-* :class:`GlobalRollbackCoordinator` — vanilla Flink (Section 3.2): cancel
-  the whole graph, restart every task from the last completed checkpoint.
-* :class:`BaseCoordinator` alone is mode NONE: a failure fails the job.
+* task scope — every local mode.  The paper's protocol (Section 2.2):
+  activate a standby, reconfigure the network, retrieve the determinant log
+  from downstream, request in-flight replay from upstream, replay with
+  causal consistency, deduplicate at the sender; the job scope when the
+  Figure-4 analysis finds an orphan (DSD exceeded).  The weaker schemes are
+  the same pipeline with steps switched off: divergent replay fetches no
+  determinants and resends everything (at-least-once, Section 5.4); SEEP
+  adds receiver-side count-based dedup (exact only for deterministic
+  operators, Table 1); gap recovery requests no replay and restarts sources
+  at live data (at-most-once).
+* job scope — vanilla Flink (Section 3.2): cancel the whole graph, restart
+  every task from the last completed checkpoint.  It is also the global rung
+  every task-scope escalation lands on (Section 5.4, Figure 4).
+* no scope — mode NONE: a failure fails the job.
 
 Recovery itself is supervised (the ``repro.chaos`` hardening): every step
 of the six-step protocol runs under a per-step deadline, failed attempts
@@ -30,9 +30,9 @@ plane so a lossy network cannot wedge step 4.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional
 
-from repro.config import FaultToleranceMode
+from repro.config import RecoveryScope
 from repro.core.causal_log import merge_bundles
 from repro.core.dsd import (
     RecoveryCase,
@@ -50,29 +50,65 @@ from repro.operators.source import KafkaSource
 from repro.runtime.task import TaskStatus
 
 
-def make_coordinator(jm):
-    if jm.config.mode is FaultToleranceMode.GLOBAL_ROLLBACK:
-        return GlobalRollbackCoordinator(jm)
-    return ClonosCoordinator(jm) if jm.config.policy.local_recovery else BaseCoordinator(jm)
+class RecoveryCoordinator:
+    """Recovers detected failures at the scope of the job's policy.
 
-
-class BaseCoordinator:
-    """Shared recovery machinery; on its own, the coordinator of a mode that
-    cannot recover (NONE)."""
+    The task scope runs the six-step protocol of Section 2.2 per failed task
+    — supervised — with the steps its policy switches off skipped.  Failure
+    of an attempt escalates along the ladder: retry locally via the standby,
+    then re-provision a fresh deployment from the DFS checkpoint, and finally
+    degrade to the job scope (recorded as ``degraded:global_rollback``).
+    """
 
     def __init__(self, jm):
         self.jm = jm
         self.env = jm.env
         self.cost = jm.config.cost
-        self.degradations = 0
-        #: Who takes the global rung of the ladder: a local-recovery
-        #: pipeline hands over to a global rollback, anything else is it.
-        self._fallback = self
+        self.policy = jm.config.policy
+        #: A job restart is running; it covers every failure meanwhile.
+        self._restarting = False
+        #: Live recovery processes per vertex (supervisor + current step),
+        #: so a repeat failure or a job restart can supersede them.
+        self._procs: Dict[str, List] = {}
 
     def on_failure_detected(self, task_name: str) -> None:
-        raise RecoveryError(
-            f"task {task_name} failed and mode={self.jm.config.mode.name}"
-        )
+        if self.policy.scope is not RecoveryScope.TASK or self._restarting:
+            self.escalate(task_name)
+            return
+        vertex = self.jm.vertices[task_name]
+        # Figure 4 applies where determinants are logged; a mode without a
+        # causal log recovers determinant-free by policy (no case).
+        case = self._classify(task_name) if self.policy.causal_log else None
+        if case is RecoveryCase.ORPHANED:
+            if self.jm.config.clonos.fallback_to_global:
+                # Figure 4, DSD < D, orphaned leaf: trigger a global rollback
+                # (favour consistency, Section 5.4).
+                self.jm.recovery_events.append(
+                    (self.env.now, "orphan-fallback", task_name)
+                )
+                self.jm.trace.emit(self.env.now, "orphan-fallback", task_name)
+                self.escalate(task_name)
+                return
+            # Favour availability: recover locally WITHOUT determinants,
+            # skipping deduplication — at-least-once (Section 5.4).
+            self.jm.recovery_events.append(
+                (self.env.now, "orphan-skip-dedup", task_name)
+            )
+        self.jm.recovering_tasks.add(task_name)
+        self._spawn_recovery(vertex, self._supervised_recovery(vertex, case))
+
+    def escalate(self, task_name: str) -> None:
+        """The job scope: restart every task from the last completed
+        checkpoint.  Also the global rung of the escalation ladder, the
+        orphan fallback, :meth:`degrade`'s and the watchdog's target."""
+        if self.policy.scope is None:
+            raise RecoveryError(
+                f"task {task_name} failed and mode={self.jm.config.mode.name}"
+            )
+        if self._restarting:
+            return  # the ongoing restart covers this failure too
+        self._restarting = True
+        self.env.process(self._restart_job(), name="global-restart")
 
     def degrade(self, task_name: str, reason: str) -> None:
         """A recovery artifact needed for exact replay is corrupt beyond
@@ -88,30 +124,31 @@ class BaseCoordinator:
         jm.trace.emit(self.env.now, "degraded", task_name, reason=reason)
         self.escalate(task_name)
 
-    def escalate(self, task_name: str) -> None:
-        """Take the global rung of the escalation ladder."""
-        self.degradations += 1
-        self._fallback.on_failure_detected(task_name)
-
     # -- recovery supervision ---------------------------------------------------------
+
+    def _cancel(self, names) -> bool:
+        """Kill the live recovery processes of the named vertices; whether
+        any was still running."""
+        alive = False
+        for name in names:
+            procs = self._procs.get(name, [])
+            for proc in procs:
+                if proc.is_alive:
+                    proc.kill()
+                    alive = True
+            procs.clear()
+        return alive
 
     def _spawn_recovery(self, vertex, generator):
         """Run ``generator`` as this vertex's recovery process, superseding
         (killing) any still-running recovery for the same vertex — a repeat
         failure mid-recovery restarts the procedure instead of racing it."""
-        procs = self.jm.recovery_procs.setdefault(vertex.name, [])
-        superseded = False
-        for stale in procs:
-            if stale.is_alive:
-                stale.kill()
-                superseded = True
-        if superseded:
+        if self._cancel([vertex.name]):
             self.jm.recovery_events.append(
                 (self.env.now, "recovery-superseded", vertex.name)
             )
-        procs.clear()
         proc = self.env.process(generator, name=f"recover:{vertex.name}")
-        procs.append(proc)
+        self._procs.setdefault(vertex.name, []).append(proc)
         return proc
 
     def _step(self, vertex_name: str, generator, deadline: float, label: str):
@@ -120,7 +157,7 @@ class BaseCoordinator:
         a timed-out step is killed (its ``finally`` blocks release held
         resources)."""
         proc = self.env.process(generator, name=f"step:{label}:{vertex_name}")
-        self.jm.recovery_procs.setdefault(vertex_name, []).append(proc)
+        self._procs.setdefault(vertex_name, []).append(proc)
         self.jm.trace.emit(self.env.now, "phase-begin", vertex_name, phase=label)
         try:
             yield self.env.any_of([proc, self.env.timeout(deadline)])
@@ -148,11 +185,14 @@ class BaseCoordinator:
 
     # -- shared helpers ---------------------------------------------------------------
 
-    def _obtain_snapshot(self, vertex, prefer_standby: bool = True):
+    def _obtain_snapshot(
+        self, vertex, prefer_standby: bool = True, checkpoint_id: Optional[int] = None
+    ):
         """Generator: standby activation (fast path) or fresh deployment +
-        checkpoint restore from the DFS (slow path).  Returns the snapshot
-        (or None when no checkpoint completed yet).  The DFS read retries
-        transient failures (outages, brownout timeouts) with backoff."""
+        restore of ``checkpoint_id`` (default: the latest completed) from
+        the DFS (slow path).  Returns the snapshot (or None when there is no
+        checkpoint to restore).  The DFS read retries transient failures
+        (outages, brownout timeouts) with backoff."""
         standby = vertex.standby
         if prefer_standby and standby is not None and standby.usable:
             yield self.env.timeout(self.cost.standby_activation_time)
@@ -161,7 +201,7 @@ class BaseCoordinator:
             return snapshot
         yield self.env.timeout(self.cost.task_deploy_time)
         vertex.node_id = self.jm.allocate_task_slot(vertex)
-        cid = self.jm.completed_checkpoint
+        cid = self.jm.completed_checkpoint if checkpoint_id is None else checkpoint_id
         if cid <= 0 or self.jm.snapshot_store.get(vertex.name, cid) is None:
             return None
         snapshot = yield from self._load_with_retry(vertex.name, cid)
@@ -244,64 +284,55 @@ class BaseCoordinator:
             )
 
     def _request_replays(self, vertex, from_epoch: int) -> None:
-        """Step 4: ask upstream tasks to replay their in-flight logs.
-
-        Replay requests are recovery-critical: with the reliable control
-        plane they carry ids and are resent until acked, every resend
-        recorded in ``recovery_events``."""
+        """Step 4: ask upstream tasks to replay their in-flight logs."""
         jm = self.jm
-        reliable = jm.config.reliable_control_plane
-        for _in_flat, _input_index, upstream_name, _link, up_flat in vertex.in_links:
+        for in_flat, _input_index, upstream_name, _link, up_flat in vertex.in_links:
             upstream = jm.vertices[upstream_name].task
             if upstream is None or upstream.status is TaskStatus.FAILED:
                 continue  # its own recovery will regenerate and send
-            receiver_channel = vertex.task.gate.channels[_in_flat]
-
-            def note_retry(n: int, up: str = upstream_name) -> None:
-                jm.recovery_events.append(
-                    (self.env.now, f"rpc-retry:replay_request:{n}", up)
-                )
-
-            def note_give_up(n: int, up: str = upstream_name) -> None:
-                jm.recovery_events.append(
-                    (self.env.now, "rpc-exhausted:replay_request", up)
-                )
-
-            upstream.control.send(
-                "replay_request",
-                {
-                    "flat_channel": up_flat,
-                    "from_epoch": from_epoch,
-                    "delivered_seq": receiver_channel.delivered_seq,
-                    "requester": vertex.name,
-                },
-                sender=vertex.name,
-                reliable=reliable,
-                retry=jm.config.rpc_retry,
-                on_retry=note_retry,
-                on_give_up=note_give_up,
+            delivered = vertex.task.gate.channels[in_flat].delivered_seq
+            self.request_replay(
+                upstream, up_flat, from_epoch, delivered, vertex.name, vertex.name
             )
 
+    def request_replay(
+        self, upstream, flat: int, from_epoch: int, delivered_seq: int,
+        requester: str, sender: str, **extra,
+    ) -> None:
+        """Ask ``upstream`` to replay output channel ``flat`` from its
+        in-flight log, past what the receiver already delivered.
 
-class GlobalRollbackCoordinator(BaseCoordinator):
-    """Tear everything down, restore the latest global checkpoint."""
+        Replay requests are recovery-critical: with the reliable control
+        plane they carry ids and are resent until acked, every resend and a
+        final give-up recorded in ``recovery_events``."""
+        jm = self.jm
+        name = upstream.name
+        upstream.control.send(
+            "replay_request",
+            {
+                "flat_channel": flat,
+                "from_epoch": from_epoch,
+                "delivered_seq": delivered_seq,
+                "requester": requester,
+                **extra,
+            },
+            sender=sender,
+            reliable=jm.config.reliable_control_plane,
+            retry=jm.config.rpc_retry,
+            on_retry=lambda n: jm.recovery_events.append(
+                (self.env.now, f"rpc-retry:replay_request:{n}", name)
+            ),
+            on_give_up=lambda _n: jm.recovery_events.append(
+                (self.env.now, "rpc-exhausted:replay_request", name)
+            ),
+        )
 
-    def __init__(self, jm):
-        super().__init__(jm)
-        self._restarting = False
-        self.global_restarts = 0
-
-    def on_failure_detected(self, task_name: str) -> None:
-        if self._restarting:
-            return  # the ongoing restart covers this failure too
-        self._restarting = True
-        self.env.process(self._restart_job(), name="global-restart")
+    # -- job scope --------------------------------------------------------------------
 
     def _restart_job(self):
         jm = self.jm
         jm.abort_pending_checkpoint()
-        jm.cancel_recovery_procs()
-        self.global_restarts += 1
+        self._cancel(list(self._procs))
         jm.recovery_events.append((self.env.now, "global-restart-begin", "*"))
         jm.trace.emit(self.env.now, "global-restart-begin", "*")
         jm.trace.emit(self.env.now, "phase-mark", "*", phase="task-cancellation")
@@ -332,16 +363,15 @@ class GlobalRollbackCoordinator(BaseCoordinator):
         excluded: set = set()
         while True:
             cid = self._select_restore_epoch(excluded)
-            snapshots = {}
             procs = [
                 self.env.process(
-                    self._prepare_one(vertex, cid, snapshots),
+                    self._obtain_snapshot(vertex, False, cid),
                     name=f"restart:{vertex.name}",
                 )
                 for vertex in jm.vertices.values()
             ]
             try:
-                yield self.env.all_of(procs)
+                snapshots = yield self.env.all_of(procs)
             except IntegrityError as exc:
                 jm.recovery_events.append(
                     (self.env.now, "integrity:restore-failed", repr(exc))
@@ -392,7 +422,7 @@ class GlobalRollbackCoordinator(BaseCoordinator):
         # the late-attaching receiver ever saw).
         jm.trace.emit(self.env.now, "phase-mark", "*", phase="task-restart")
         started = []
-        for vertex in jm.vertices.values():
+        for vertex, snapshot in zip(jm.vertices.values(), snapshots):
             task = jm._build_task(vertex)
             vertex.task = task
             # A global restart replays without causal determinants, so
@@ -403,7 +433,7 @@ class GlobalRollbackCoordinator(BaseCoordinator):
             reset = getattr(task.operator, "reset_external_dedup", None)
             if reset is not None:
                 reset()
-            started.append((task, snapshots.get(vertex.name)))
+            started.append((task, snapshot))
         for task, snapshot in started:
             task.start(snapshot)
         jm.dead_tasks.clear()
@@ -468,56 +498,7 @@ class GlobalRollbackCoordinator(BaseCoordinator):
         )
         return 0
 
-    def _prepare_one(self, vertex, checkpoint_id: int, snapshots: dict):
-        yield self.env.timeout(self.cost.task_deploy_time)
-        vertex.node_id = self.jm.allocate_task_slot(vertex)
-        if checkpoint_id > 0 and self.jm.snapshot_store.get(vertex.name, checkpoint_id):
-            snapshots[vertex.name] = yield from self._load_with_retry(
-                vertex.name, checkpoint_id
-            )
-
-
-class ClonosCoordinator(BaseCoordinator):
-    """The six-step protocol of Section 2.2, per failed task — supervised —
-    for every local mode, with the steps its policy switches off skipped.
-
-    Failure of an attempt escalates along the ladder: retry locally via the
-    standby, then re-provision a fresh deployment from the DFS checkpoint,
-    and finally degrade to global-rollback semantics (recorded as
-    ``degraded:global_rollback``).
-    """
-
-    def __init__(self, jm):
-        super().__init__(jm)
-        self.policy = jm.config.policy
-        self.fallbacks_to_global = 0
-        self._fallback = GlobalRollbackCoordinator(jm)
-
-    def on_failure_detected(self, task_name: str) -> None:
-        if self._fallback._restarting:
-            return
-        vertex = self.jm.vertices[task_name]
-        # Figure 4 applies where determinants are logged; a mode without a
-        # causal log recovers determinant-free by policy (no case).
-        case = self._classify(task_name) if self.policy.causal_log else None
-        if case is RecoveryCase.ORPHANED:
-            if self.jm.config.clonos.fallback_to_global:
-                # Figure 4, DSD < D, orphaned leaf: trigger a global rollback
-                # (favour consistency, Section 5.4).
-                self.fallbacks_to_global += 1
-                self.jm.recovery_events.append(
-                    (self.env.now, "orphan-fallback", task_name)
-                )
-                self.jm.trace.emit(self.env.now, "orphan-fallback", task_name)
-                self._fallback.on_failure_detected(task_name)
-                return
-            # Favour availability: recover locally WITHOUT determinants,
-            # skipping deduplication — at-least-once (Section 5.4).
-            self.jm.recovery_events.append(
-                (self.env.now, "orphan-skip-dedup", task_name)
-            )
-        self.jm.recovering_tasks.add(task_name)
-        self._spawn_recovery(vertex, self._supervised_recovery(vertex, case))
+    # -- task scope -------------------------------------------------------------------
 
     def _classify(self, task_name: str) -> RecoveryCase:
         """The Figure-4 leaf for this failure, externalized output included."""
@@ -750,3 +731,8 @@ class ClonosCoordinator(BaseCoordinator):
             2 * self.cost.rpc_latency + self.cost.transmission_time(total_bytes)
         )
         return merge_bundles(bundles)
+
+
+#: The SEAMS bridge: ``bench/tracing.py`` binds its recovery seams by these
+#: names; the benchmark's seam remap deletes this line.
+BaseCoordinator = GlobalRollbackCoordinator = ClonosCoordinator = RecoveryCoordinator

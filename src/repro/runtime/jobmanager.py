@@ -3,17 +3,17 @@
 Builds the physical execution graph (tasks, links, gates, writers) from a
 logical :class:`~repro.graph.logical.JobGraph`, drives periodic aligned
 checkpoints (Section 3.2), detects failures (heartbeat timeout for vanilla
-Flink, connection-reset for Clonos), and delegates recovery to the mode's
-coordinator from :mod:`repro.ft.coordinators`.
+Flink, connection-reset for Clonos), and delegates recovery to the
+:class:`~repro.ft.coordinators.RecoveryCoordinator`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.invariants import SANITIZER
-from repro.config import FaultToleranceMode, JobConfig
+from repro.config import JobConfig, RecoveryScope
 from repro.core.causal_log import CausalLogManager
 from repro.core.inflight_log import InFlightLog
 from repro.core.services import CausalServices, NaiveServices
@@ -140,9 +140,6 @@ class JobManager:
         self.coordinator = None  # set in deploy()
         self.failures_injected: List[Tuple[float, str]] = []
         self.recovery_events: List[Tuple[float, str, str]] = []
-        #: Live recovery processes per vertex (supervisor + current step),
-        #: so a repeat failure or a global restart can supersede them.
-        self.recovery_procs: Dict[str, List[Any]] = {}
         #: Installed by the chaos engine; ControlQueues consult it per
         #: delivery.  None = healthy control plane.
         self.control_chaos = None
@@ -248,10 +245,10 @@ class JobManager:
 
     def deploy(self) -> None:
         """Build the physical graph, start every task, start coordination."""
-        from repro.ft.coordinators import make_coordinator
+        from repro.ft.coordinators import RecoveryCoordinator
 
         self._build_physical()
-        self.coordinator = make_coordinator(self)
+        self.coordinator = RecoveryCoordinator(self)
         for vertex in self.vertices.values():
             self._place(vertex)
             task = self._build_task(vertex)
@@ -274,7 +271,10 @@ class JobManager:
         )
 
     def _uses_standbys(self) -> bool:
-        return self.config.policy.local_recovery and self.config.clonos.standby_tasks
+        return (
+            self.config.policy.scope is RecoveryScope.TASK
+            and self.config.clonos.standby_tasks
+        )
 
     def _place(self, vertex: VertexRuntime) -> None:
         vertex.node_id = self.cluster.allocate(vertex.name)
@@ -596,8 +596,8 @@ class JobManager:
 
     def detection_delay(self) -> float:
         """How long until the failure is noticed (Section 7.1 heartbeats for
-        vanilla Flink; connection reset for local-recovery modes)."""
-        if self.config.mode is FaultToleranceMode.GLOBAL_ROLLBACK:
+        job-scope rollback, i.e. vanilla Flink; connection reset otherwise)."""
+        if self.config.policy.scope is RecoveryScope.JOB:
             return self.cost.heartbeat_timeout
         return self.cost.connection_failure_detection
 
@@ -826,15 +826,6 @@ class JobManager:
             self.env.now, "poison-quarantined", task_name, origin=str(origin)
         )
 
-    def cancel_recovery_procs(self) -> None:
-        """Kill every in-flight recovery process (global restart supersedes
-        all per-task recoveries)."""
-        for name, procs in self.recovery_procs.items():
-            for proc in procs:
-                if proc.is_alive:
-                    proc.kill()
-            procs.clear()
-
     def repair_channel(self, up_name: str, flat_idx: int, down_name: str) -> None:
         """Sender-driven repair of a link that lost buffers (chaos
         ``link_loss``): purge everything on the wire, clear the broken flag,
@@ -869,25 +860,9 @@ class JobManager:
         self.recovery_events.append((self.env.now, "link-repair", link.name))
         receiver = link.receiver
         delivered = receiver.delivered_seq if receiver is not None else -1
-
-        def note_retry(n: int, up: str = up_name) -> None:
-            self.recovery_events.append(
-                (self.env.now, f"rpc-retry:replay_request:{n}", up)
-            )
-
-        up_task.control.send(
-            "replay_request",
-            {
-                "flat_channel": flat_idx,
-                "from_epoch": self.completed_checkpoint,
-                "delivered_seq": delivered,
-                "requester": down_name,
-                "live_seq": True,
-            },
-            sender="chaos-repair",
-            reliable=self.config.reliable_control_plane,
-            retry=self.config.rpc_retry,
-            on_retry=note_retry,
+        self.coordinator.request_replay(
+            up_task, flat_idx, self.completed_checkpoint, delivered, down_name,
+            "chaos-repair", live_seq=True,
         )
 
     def _on_detected(self, task_name: str) -> None:

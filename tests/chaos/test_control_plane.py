@@ -10,10 +10,15 @@ import pytest
 from repro.chaos.engine import ControlPlaneChaos
 from repro.config import CostModel
 from repro.errors import JobError
+from repro.external.kafka import DurableLog
+from repro.graph.logical import JobGraphBuilder
+from repro.operators import KafkaSink, KafkaSource
+from repro.runtime.jobmanager import JobManager
 from repro.runtime.rpc import ControlQueue
 from repro.sim.core import Environment
 
 from tests.chaos.helpers import assert_exactly_once, deploy_chaos_chain
+from tests.runtime.helpers import make_config
 
 
 class _JmStub:
@@ -138,6 +143,29 @@ class TestLossyRecoveryScenario:
         assert retries, "resends during the loss window must be recorded"
         assert sum(jm.control_plane_drops.values()) > 0
         assert_exactly_once(log, 2, 1200)
+
+    def test_unacked_link_repair_request_is_announced(self):
+        # A link repair's replay request rides the same reliable RPC as a
+        # recovery's: when every resend is lost, the give-up is recorded
+        # instead of the repaired channel staying parked in silence.
+        env = Environment()
+        log = DurableLog()
+        log.create_generated_topic("in", 1, lambda p, off: off, 2000.0, 3000)
+        log.create_topic("out", 1)
+        builder = JobGraphBuilder("link-repair")
+        builder.source("src", lambda: KafkaSource(log, "in")).sink(
+            "sink", lambda: KafkaSink(log, "out")
+        )
+        jm = JobManager(env, builder.build(), make_config())
+        jm.deploy()
+        jm.control_chaos = ControlPlaneChaos(
+            env, random.Random(0), drop_rate=1.0, target="chaos-repair"
+        )
+        env.schedule_callback(0.2, lambda: jm.repair_channel("src[0]", 0, "sink[0]"))
+        env.run(until=10.0)
+        kinds = [kind for _t, kind, who in jm.recovery_events if who == "src[0]"]
+        assert "rpc-retry:replay_request:1" in kinds
+        assert "rpc-exhausted:replay_request" in kinds
 
     def test_unreliable_control_plane_wedges(self):
         # Fire-and-forget replay requests die in the loss window; the
