@@ -28,7 +28,6 @@ a segment and never mutates lists a slice on the wire may still read.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Tuple
 from zlib import crc32
 
@@ -221,6 +220,10 @@ def merge_bundles(bundles: List[LogBundle]) -> LogBundle:
 #: end_bytes) — see the module docstring.
 DeltaSlice = Tuple[str, str, int, int, int, List[Determinant], bytearray, int]
 
+#: One forwarding-journal chunk: (task_id, log_name, log, epoch, have,
+#: have_bytes) — see ``CausalLogManager._journal``.
+_Chunk = Tuple[str, str, EpochLog, int, int, int]
+
 
 def delta_wire_size(slices: List[DeltaSlice]) -> int:
     """Serialized size of a delta: per-slice header + determinant bytes,
@@ -254,15 +257,24 @@ class CausalLogManager:
         self.store: Dict[str, Tuple[int, LogBundle]] = {}
         #: Forwarding journal: one ``(task_id, log_name, log, epoch, have,
         #: have_bytes)`` — what the log held *before* — per merge that grew a
-        #: store log we share onward.  A channel owes its receiver
-        #: ``_journal[_journal_pos[ch]:]``: per segment the first chunk gives
-        #: the slice base, the segment itself the end.  A live epoch's chunks
-        #: start at ``have == 0``, so position 0 re-carries the whole store.
-        self._journal: List[Tuple[str, str, EpochLog, int, int, int]] = []
+        #: store log we share onward.  Positions are absolute: ``_journal[0]``
+        #: sits at ``_journal_base``, and a channel owes its receiver every
+        #: chunk from ``_journal_pos[ch]`` on; per segment the first chunk
+        #: gives the slice base, the segment itself the end.  The prefix every
+        #: positioned channel has read is dropped (:meth:`_compact`).
+        self._journal: List[_Chunk] = []
+        self._journal_base = 0
         self._journal_pos: Dict[int, int] = {}
+        #: Each live store segment's first chunk, in journal order.  A live
+        #: epoch's chunks start at ``have == 0``, so this is exactly what a
+        #: scan of the whole journal yields: what a channel without a
+        #: position (never dispatched, or reset) owes — the whole store.
+        self._first_chunks: Dict[Tuple[EpochLog, int], _Chunk] = {}
         #: Last forwarded assembly ``(from_pos, to_pos, slices, nbytes)``:
         #: sibling channels whose positions coincide owe the same slices.
-        self._forwarded: Optional[Tuple[int, int, List[DeltaSlice], int]] = None
+        self._forwarded: Optional[
+            Tuple[Optional[int], int, List[DeltaSlice], int]
+        ] = None
         #: total determinant bytes shipped (for the memory/overhead metrics).
         self.delta_bytes_sent = 0
         #: epochs below this are truncated; late deltas for them are ignored.
@@ -315,27 +327,46 @@ class CausalLogManager:
                     cursors[log_name, epoch] = (count, total)
                     nbytes += 12 + total - sent_bytes
         forwarded, forwarded_bytes = self._forwarded_since(
-            self._journal_pos.get(channel_index, 0)
+            self._journal_pos.get(channel_index)
         )
-        self._journal_pos[channel_index] = len(self._journal)
+        self._journal_pos[channel_index] = self._journal_base + len(self._journal)
+        self._compact()
         slices += forwarded
         nbytes += forwarded_bytes
         self.delta_bytes_sent += nbytes
         return slices, nbytes
 
-    def _forwarded_since(self, pos: int) -> Tuple[List[DeltaSlice], int]:
-        """One slice (plus wire bytes) per store segment grown since ``pos``."""
+    def _compact(self) -> None:
+        """Drop the journal prefix every positioned channel has read — all of
+        it when no channel has a position (a channel without one reads
+        ``_first_chunks``) — once it is at least half the journal, so the
+        cost is amortised O(1) per chunk."""
         journal = self._journal
-        end_pos = len(journal)
+        base = self._journal_base
+        drop = min(self._journal_pos.values(), default=base + len(journal)) - base
+        if drop and 2 * drop >= len(journal):
+            del journal[:drop]
+            self._journal_base += drop
+
+    def _forwarded_since(self, pos: Optional[int]) -> Tuple[List[DeltaSlice], int]:
+        """One slice (plus wire bytes) per store segment grown since ``pos``;
+        ``None`` (no position) means since the start: the whole store."""
+        journal = self._journal
+        end_pos = self._journal_base + len(journal)
         if pos == end_pos:
             return [], 0
         cached = self._forwarded
         if cached is not None and cached[0] == pos and cached[1] == end_pos:
             return cached[2], cached[3]
+        chunks: Iterable[_Chunk] = (
+            self._first_chunks.values()
+            if pos is None
+            else journal[pos - self._journal_base :]
+        )
         slices: List[DeltaSlice] = []
         nbytes = 0
         seen = set()
-        for task_id, log_name, log, epoch, have, have_bytes in journal[pos:]:
+        for task_id, log_name, log, epoch, have, have_bytes in chunks:
             seg = log._epochs.get(epoch)
             if seg is None or seg in seen:
                 continue
@@ -350,17 +381,22 @@ class CausalLogManager:
         self._forwarded = (pos, end_pos, slices, nbytes)
         return slices, nbytes
 
-    def merge_delta(self, slices: Iterable[DeltaSlice], sender_task_id: str) -> None:
+    def merge_delta(self, slices: Iterable[DeltaSlice], sender_task_id: str) -> int:
         """Receiver side: store the piggybacked determinants *before* the
-        buffer's records are processed (the always-no-orphans discipline)."""
+        buffer's records are processed (the always-no-orphans discipline).
+        Returns the entries the delta carried (``end - base`` over every
+        slice, truncated and already-held ones included)."""
         store = self.store
         truncated_before = self.truncated_before
         journal = self._journal
+        first_chunks = self._first_chunks
+        carried = 0
         # Slices arrive grouped by origin task: cache the resolved bundle.
         last_task: Optional[str] = None
         last_bundle: Optional[LogBundle] = None
         forwards = False
         for task_id, log_name, epoch, base, end, entries, fps, end_bytes in slices:
+            carried += end - base
             if epoch < truncated_before:
                 # The checkpoint-complete RPC raced ahead of this delta: the
                 # epoch is already stable, its determinants are obsolete.
@@ -382,11 +418,11 @@ class CausalLogManager:
                         if forwards and not self._forwards(old_distance):
                             # Newly within the sharing depth: every channel
                             # owes its receiver the whole bundle.
-                            journal.extend(
-                                (task_id, name, log, e, 0, 0)
-                                for name, log in last_bundle.logs.items()
-                                for e in log.epochs()
-                            )
+                            for name, log in last_bundle.logs.items():
+                                for e in log.epochs():
+                                    chunk = (task_id, name, log, e, 0, 0)
+                                    journal.append(chunk)
+                                    first_chunks.setdefault((log, e), chunk)
                 last_task = task_id
             log = last_bundle.logs.get(log_name) or last_bundle.log(log_name)
             # Already-held fast path: several upstream channels forward the
@@ -408,7 +444,13 @@ class CausalLogManager:
                     f"log={log_name} from sender={sender_task_id}: {exc}"
                 ) from exc
             if forwards:
-                journal.append((task_id, log_name, log, epoch, have, have_bytes))
+                chunk = (task_id, log_name, log, epoch, have, have_bytes)
+                journal.append(chunk)
+                if not have:
+                    first_chunks.setdefault((log, epoch), chunk)
+        if not self._journal_pos and journal:
+            self._compact()  # e.g. a sink: no channel will read the journal
+        return carried
 
     # -- recovery support -----------------------------------------------------------
 
@@ -422,6 +464,7 @@ class CausalLogManager:
         log.  Receivers merge by index, so over-sending is idempotent."""
         self._sent.pop(channel_index, None)
         self._journal_pos.pop(channel_index, None)
+        self._compact()
 
     # -- epoch lifecycle ---------------------------------------------------------------
 
@@ -440,15 +483,15 @@ class CausalLogManager:
         for cursors in self._sent.values():
             for key in [key for key in cursors if key[1] < checkpoint_id]:
                 del cursors[key]
-        # Drop the truncated epochs' chunks; a channel's position becomes the
-        # number of surviving chunks that were before it.
-        journal = self._journal
-        kept = [i for i, chunk in enumerate(journal) if chunk[3] >= checkpoint_id]
-        if len(kept) < len(journal):
-            self._journal = [journal[i] for i in kept]
-            for channel, pos in self._journal_pos.items():
-                self._journal_pos[channel] = bisect_left(kept, pos)
-            self._forwarded = None
+        # A truncated segment's journal chunks wait for compaction (the
+        # forwarding scan skips a segment that is gone); its first chunk and
+        # any assembly that may carry it go now.
+        self._forwarded = None
+        self._first_chunks = {
+            key: chunk
+            for key, chunk in self._first_chunks.items()
+            if key[1] >= checkpoint_id
+        }
         return dropped
 
     def size_bytes(self) -> int:

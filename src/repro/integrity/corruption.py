@@ -107,7 +107,6 @@ def _swap_in_buffer_clone(entry):
     clone.elements = list(buffer.elements)
     clone.size_bytes = buffer.size_bytes
     clone.n_records = buffer.n_records
-    clone.delta = buffer.delta
     clone.delta_bytes = buffer.delta_bytes
     clone.recycle_on_consume = buffer.recycle_on_consume
     buffer.pool = None  # accounting follows the stored artifact

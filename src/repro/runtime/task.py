@@ -501,12 +501,15 @@ class StreamTask:
             + self.cost.serialize_time(buffer.size_bytes)
         )
         if self.causal is not None:
-            if buffer.delta:
+            # A delta lives from its cut to this merge: a replayed buffer
+            # carries a fresh one, so the logged buffer lets it go.
+            delta, buffer.delta = buffer.delta, None
+            if delta:
                 # Store the piggybacked determinants BEFORE processing the
                 # records that depend on them (always-no-orphans, Section 5.3).
                 try:
-                    self.causal.merge_delta(
-                        buffer.delta, self.input_infos[channel_index].upstream_task
+                    entries = self.causal.merge_delta(
+                        delta, self.input_infos[channel_index].upstream_task
                     )
                 except DeterminantLogError:
                     # A compound incident (e.g. a zone outage) can rebuild
@@ -522,9 +525,6 @@ class StreamTask:
                     if buffer.recycle_on_consume:
                         buffer.recycle()
                     return
-                entries = 0
-                for s in buffer.delta:
-                    entries += s[4] - s[3]
                 self.charge(
                     self.cost.serialize_time(buffer.delta_bytes)
                     + entries * self.cost.determinant_cpu_cost

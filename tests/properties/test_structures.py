@@ -250,6 +250,107 @@ def test_by_reference_deltas_match_reference(topology, dsd, seed):
         assert mgr.bytes_held() == mgr.size_bytes()
 
 
+class UncompactedManager(CausalLogManager):
+    """The forwarding journal without compaction: never trimmed, and a channel
+    without a position scans it from the start instead of reading the
+    first-chunk index."""
+
+    def _compact(self):
+        pass
+
+    def _forwarded_since(self, pos):
+        return super()._forwarded_since(0 if pos is None else pos)
+
+
+def _resolved(slices):
+    """A delta as its receiver reads it, in order, references resolved."""
+    return [
+        (t, l, e, b, end, entries[b:end], bytes(fps[4 * b : 4 * end]), n)
+        for t, l, e, b, end, entries, fps, n in slices
+    ]
+
+
+@given(
+    st.sampled_from(sorted(TOPOLOGIES)),
+    st.sampled_from([2, None]),  # DSD=1 forwards nothing: no journal
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_compacted_journal_emits_identical_ordered_deltas(topology, dsd, seed):
+    """Compaction and the first-chunk index change what the journal keeps,
+    never what a dispatch emits: the same schedule (resets, duplicate
+    deliveries and truncations included) gives the same deltas, in order."""
+    rng = random.Random(seed)
+    graph = TOPOLOGIES[topology]
+    names = sorted(graph)
+    worlds = [
+        {n: CausalLogManager(n, len(graph[n]), dsd) for n in names},
+        {n: UncompactedManager(n, len(graph[n]), dsd) for n in names},
+    ]
+    epoch_of = dict.fromkeys(names, 0)
+    wires = {(n, c): deque() for n in names for c in range(len(graph[n]))}
+    delivered = {key: [] for key in wires}
+    kinds, weights = zip(*OPERATIONS)
+    shorter = 0
+
+    for count, op in enumerate(rng.choices(kinds, weights, k=400)):
+        name = rng.choice(names)
+        channels = range(len(graph[name]))
+        managers = [world[name] for world in worlds]
+        if op == "append":
+            det = _determinant(rng.randrange(4), count)
+            channel = rng.choice(channels) if channels and rng.random() < 0.3 else None
+            for mgr in managers:
+                if channel is None:
+                    mgr.append_main(det)
+                else:
+                    mgr.append_queue(channel, det)
+        elif op == "dispatch" and channels:
+            channel = rng.choice(channels)
+            deltas = [mgr.delta_for_dispatch(channel) for mgr in managers]
+            (slices, nbytes), (twin_slices, twin_nbytes) = deltas
+            assert _resolved(slices) == _resolved(twin_slices)
+            assert nbytes == twin_nbytes
+            compacted, uncompacted = managers
+            shorter += len(compacted._journal) < len(uncompacted._journal)
+            wires[name, channel].append(deltas)
+        elif op in ("deliver", "duplicate"):
+            pool = wires if op == "deliver" else delivered
+            ready = sorted(key for key, queued in pool.items() if queued)
+            if not ready:
+                continue
+            sender, channel = rng.choice(ready)
+            if op == "deliver":
+                deltas = wires[sender, channel].popleft()
+                delivered[sender, channel].append(deltas)
+            else:
+                deltas = rng.choice(delivered[sender, channel])
+            receiver = graph[sender][channel]
+            carried = [
+                world[receiver].merge_delta(slices, sender)
+                for world, (slices, _nbytes) in zip(worlds, deltas)
+            ]
+            assert carried[0] == carried[1] == sum(
+                end - base for _t, _l, _e, base, end, *_rest in deltas[0][0]
+            )
+        elif op == "reset" and channels:
+            channel = rng.choice(channels)
+            for mgr in managers:
+                mgr.reset_channel_cursors(channel)
+        elif op == "barrier":
+            epoch_of[name] += 1
+            for mgr in managers:
+                mgr.on_barrier(epoch_of[name])
+        elif op == "complete" and epoch_of[name]:
+            checkpoint_id = rng.randint(1, epoch_of[name])
+            for mgr in managers:
+                mgr.on_checkpoint_complete(checkpoint_id)
+
+    assert shorter, "the schedule never compacted the journal"
+    for mgr in worlds[0].values():  # the index holds live segments only
+        assert all(epoch in log._epochs for log, epoch in mgr._first_chunks)
+
+
 # -- direct fingerprint walk -----------------------------------------------------
 
 
