@@ -10,31 +10,21 @@ claim of Section 7.3.  Paper findings to match in shape:
 * latency: DSD=1 within ~10%, DSD=Full tail up to ~20%.
 """
 
-from repro.harness.figures import fig5_overhead, latency_overhead
+from repro.harness.figures import (
+    fig5_overhead,
+    latency_overhead,
+    render_fig5,
+    render_latency,
+)
 from repro.harness.reporters import render_table
-from repro.nexmark.queries import QUERIES
 
 
 def test_fig5_relative_throughput(once):
-    rows = once(
-        fig5_overhead,
-        queries=tuple(sorted(QUERIES, key=lambda q: int(q[1:]))),
-        events_per_partition=6000,
-    )
+    rows = once(fig5_overhead)
     print()
-    print("Figure 5: relative throughput vs vanilla Flink (1.00 = no overhead)")
-    print(
-        render_table(
-            ["query", "flink rec/s", "clonos DSD=1", "clonos DSD=Full"],
-            [
-                (r.query, f"{r.flink_rate:.0f}", f"{r.rel_dsd1:.3f}", f"{r.rel_full:.3f}")
-                for r in rows
-            ],
-        )
-    )
+    print(render_fig5(rows))
     avg_dsd1 = sum(r.rel_dsd1 for r in rows) / len(rows)
     avg_full = sum(r.rel_full for r in rows) / len(rows)
-    print(f"average: DSD=1 {avg_dsd1:.3f}  DSD=Full {avg_full:.3f}")
 
     by_query = {r.query: r for r in rows}
     # Clonos never beats Flink by more than noise, never costs more than ~35%.
@@ -93,19 +83,9 @@ def test_fusion_ablation(once):
 
 
 def test_section73_latency_overhead(once):
-    row = once(latency_overhead, query="Q1", events_per_partition=6000)
+    row = once(latency_overhead)
     print()
-    print("Section 7.3: end-to-end latency overhead (unsaturated Q1)")
-    print(
-        render_table(
-            ["variant", "p50 (ms)", "p99 (ms)"],
-            [
-                ("flink", f"{row.flink_p50 * 1e3:.2f}", f"{row.flink_p99 * 1e3:.2f}"),
-                ("clonos DSD=1", f"{row.dsd1_p50 * 1e3:.2f}", f"{row.dsd1_p99 * 1e3:.2f}"),
-                ("clonos DSD=Full", f"{row.full_p50 * 1e3:.2f}", f"{row.full_p99 * 1e3:.2f}"),
-            ],
-        )
-    )
+    print(render_latency(row))
     # DSD=1 within ~10% of Flink's latency; full sharing tail within ~25%.
     assert row.dsd1_p50 <= row.flink_p50 * 1.10 + 1e-3
     assert row.dsd1_p99 <= row.flink_p99 * 1.15 + 1e-3

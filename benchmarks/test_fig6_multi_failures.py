@@ -12,47 +12,9 @@ Findings to match in shape:
 * Flink pays a full restart (or several).
 """
 
-from repro.harness.figures import fig6_multi_failures
-from repro.harness.reporters import render_series, render_table
+from repro.harness.figures import fig6_multi_failures, render_fig6_multi
 
 from benchmarks.conftest import attach_recovery_phases
-
-PARAMS = dict(
-    depth=5,
-    parallelism=5,
-    rate=700.0,
-    events_per_partition=14000,
-    checkpoint_interval=5.0,
-    first_kill_at=6.0,
-    interval=5.0,
-    state_bytes=100 * 1024,
-)
-
-
-def report(title, runs):
-    print()
-    print(title)
-    rows = []
-    for label in ("clonos", "flink"):
-        run = runs[label]
-        baseline, worst = run.result.throughput_dip_after(0)
-        rows.append(
-            (
-                label,
-                f"{run.recovery_time:.2f}" if run.recovery_time is not None else "n/a",
-                f"{baseline:.0f}",
-                f"{worst:.0f}",
-                f"{run.result.duration:.1f}",
-            )
-        )
-    print(
-        render_table(
-            ["variant", "recovery (s)", "pre-fail rate", "worst rate", "job time (s)"],
-            rows,
-        )
-    )
-    print(render_series("clonos output rate", runs["clonos"].throughput_series()))
-    print(render_series("flink output rate", runs["flink"].throughput_series()))
 
 
 def check_common(runs):
@@ -78,24 +40,26 @@ def check_common(runs):
 
 
 def test_fig6c_g_staggered_failures(once, benchmark):
-    runs = once(fig6_multi_failures, concurrent=False, **PARAMS)
+    runs = once(fig6_multi_failures, concurrent=False)
     attach_recovery_phases(benchmark, runs)
-    report("Figure 6c/6g: three staggered failures (5s apart)", runs)
+    print()
+    print(render_fig6_multi(runs))
     check_common(runs)
 
 
 def test_fig6d_h_concurrent_failures(once, benchmark):
-    runs = once(fig6_multi_failures, concurrent=True, **PARAMS)
+    runs = once(fig6_multi_failures, concurrent=True)
     attach_recovery_phases(benchmark, runs)
-    report("Figure 6d/6h: three concurrent failures", runs)
+    print()
+    print(render_fig6_multi(runs))
     check_common(runs)
 
 
 def test_staggered_and_concurrent_behave_similarly(once):
     def both():
         return (
-            fig6_multi_failures(concurrent=False, **PARAMS),
-            fig6_multi_failures(concurrent=True, **PARAMS),
+            fig6_multi_failures(concurrent=False),
+            fig6_multi_failures(concurrent=True),
         )
 
     staggered, concurrent = once(both)
@@ -105,5 +69,6 @@ def test_staggered_and_concurrent_behave_similarly(once):
     # "Independently of the frequency of failures ... Clonos' recovery
     # behaves similarly": same order of magnitude. Staggered failures span
     # an extra 2x5s of injection time by construction.
-    spread = PARAMS["interval"] * 2
+    kill_times = [when for when, _victim in staggered["clonos"].result.failures]
+    spread = kill_times[-1] - kill_times[0]
     assert abs((rt_s - spread) - rt_c) < max(rt_c, 5.0) * 1.5

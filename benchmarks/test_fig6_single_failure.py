@@ -9,56 +9,21 @@ Paper findings to match in shape:
 * Clonos recovers an order of magnitude faster.
 """
 
-from repro.harness.figures import fig6_single_failure
-from repro.harness.reporters import render_series, render_table
+from repro.harness.figures import fig6_single_failure, render_fig6_single
 
 from benchmarks.conftest import attach_recovery_phases
 
 
-def run_query_failure(once, query, victim, kill_at=4.0, benchmark=None):
-    runs = once(
-        fig6_single_failure,
-        query=query,
-        victim=victim,
-        events_per_partition=36000,
-        rate=6000.0,
-        kill_at=kill_at,
-        checkpoint_interval=2.0,
-    )
-    if benchmark is not None:
-        attach_recovery_phases(benchmark, runs)
+def run_query_failure(once, query, benchmark):
+    runs = once(fig6_single_failure, query=query)
+    attach_recovery_phases(benchmark, runs)
     return runs
 
 
-def report(query, runs):
-    print()
-    print(f"Figure 6 ({query}): failure at t={runs['clonos'].failure_time:.0f}s")
-    rows = []
-    for label in ("clonos", "flink"):
-        run = runs[label]
-        baseline, worst = run.result.throughput_dip_after(0)
-        rows.append(
-            (
-                label,
-                f"{run.recovery_time:.2f}" if run.recovery_time is not None else "n/a",
-                f"{baseline:.0f}",
-                f"{worst:.0f}",
-                len(run.result.output_values()),
-            )
-        )
-    print(
-        render_table(
-            ["variant", "recovery time (s)", "pre-fail rate", "worst rate", "outputs"],
-            rows,
-        )
-    )
-    print(render_series(f"{query} clonos output rate", runs["clonos"].throughput_series()))
-    print(render_series(f"{query} flink output rate", runs["flink"].throughput_series()))
-
-
 def test_fig6a_e_q3_single_failure(once, benchmark):
-    runs = run_query_failure(once, "Q3", "join[0]", benchmark=benchmark)
-    report("Q3", runs)
+    runs = run_query_failure(once, "Q3", benchmark)
+    print()
+    print(render_fig6_single(runs))
     clonos, flink = runs["clonos"].recovery_time, runs["flink"].recovery_time
     assert clonos is not None and flink is not None
     # Clonos: a few seconds including catch-up; Flink: tens of seconds.
@@ -70,8 +35,9 @@ def test_fig6a_e_q3_single_failure(once, benchmark):
 
 
 def test_fig6b_f_q8_single_failure(once, benchmark):
-    runs = run_query_failure(once, "Q8", "join[0]", benchmark=benchmark)
-    report("Q8", runs)
+    runs = run_query_failure(once, "Q8", benchmark)
+    print()
+    print(render_fig6_single(runs))
     clonos, flink = runs["clonos"].recovery_time, runs["flink"].recovery_time
     assert clonos is not None and flink is not None
     assert clonos < 5.0
@@ -80,7 +46,7 @@ def test_fig6b_f_q8_single_failure(once, benchmark):
 
 
 def test_fig6e_throughput_barely_dips_for_clonos(once, benchmark):
-    runs = run_query_failure(once, "Q3", "join[0]", benchmark=benchmark)
+    runs = run_query_failure(once, "Q3", benchmark)
     # Clonos: records keep flowing through the surviving join subtask the
     # whole time; Flink: complete downtime while the graph restarts.
     _base_c, worst_clonos = runs["clonos"].result.throughput_dip_after(0)

@@ -11,24 +11,19 @@ Paper findings to match in shape (sizes scaled ~1000x):
 """
 
 from repro.config import SpillPolicy
-from repro.harness.figures import memory_spill_study
+from repro.harness.figures import (
+    determinant_pool_study,
+    memory_spill_study,
+    render_determinant_pool,
+    render_spill,
+)
 from repro.harness.reporters import render_table
 
 
 def test_spill_policy_study(once):
-    rows = once(memory_spill_study, duration=12.0)
+    rows = once(memory_spill_study)
     print()
-    print("Section 7.5: spill policies x in-flight pool size")
-    print(
-        render_table(
-            ["policy", "pool (KB)", "ingest rec/s", "peak bufs", "spilled"],
-            [
-                (r.policy, r.pool_kbytes, f"{r.rate:.0f}", r.peak_memory_buffers,
-                 r.spilled_buffers)
-                for r in rows
-            ],
-        )
-    )
+    print(render_spill(rows))
     by = {(r.policy, r.pool_kbytes): r for r in rows}
     small, mid, large = sorted({r.pool_kbytes for r in rows})
 
@@ -67,17 +62,9 @@ def test_determinant_pool_grows_with_dsd(once):
     """Section 7.5: 'for DSD=1 a determinant buffer pool of 5MB is more than
     sufficient... When DSD=Full, this value must be increased as D grows, as
     more logs are replicated.'"""
-    from repro.harness.figures import determinant_pool_study
-
-    rows = once(determinant_pool_study, depths=(3, 5))
+    rows = once(determinant_pool_study)
     print()
-    print("Section 7.5: peak determinant bytes held per task")
-    print(
-        render_table(
-            ["sharing", "graph depth", "peak determinant bytes"],
-            [(r.dsd_label, r.depth, r.peak_determinant_bytes) for r in rows],
-        )
-    )
+    print(render_determinant_pool(rows))
     by = {(r.dsd_label, r.depth): r.peak_determinant_bytes for r in rows}
     # Full sharing holds strictly more than DSD=1 at every depth...
     assert by[("full", 3)] > by[("dsd1", 3)]

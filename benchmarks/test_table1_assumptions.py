@@ -13,30 +13,13 @@ Expected matrix (matching Section 5.4 and Table 1):
 * Gap recovery      — at-most-once (loss), both columns.
 """
 
-from repro.harness.figures import table1_assumptions
-from repro.harness.reporters import render_table
+from repro.harness.figures import render_table1, table1_assumptions
 
 
 def test_table1_consistency_matrix(once):
-    cells = once(table1_assumptions, n_records=4000)
+    cells = once(table1_assumptions)
     print()
-    print("Table 1 (operationalised): exactly-once violations after recovery")
-    print(
-        render_table(
-            ["scheme", "operator", "lost", "duplicated", "inconsistent", "exactly-once"],
-            [
-                (
-                    c.mode,
-                    "deterministic" if c.deterministic else "nondeterministic",
-                    c.lost,
-                    c.duplicated,
-                    c.inconsistent,
-                    "yes" if c.exactly_once else "NO",
-                )
-                for c in cells
-            ],
-        )
-    )
+    print(render_table1(cells))
     by = {(c.mode, c.deterministic): c for c in cells}
     # Clonos: exactly-once regardless of determinism (the paper's claim).
     assert by[("clonos", True)].exactly_once

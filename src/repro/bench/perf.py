@@ -51,20 +51,18 @@ class SuiteResult:
 
 def _run_fig5() -> None:
     # 4 queries x 3 modes (flink, DSD=1, DSD=Full) x 6000 events x 2 parts.
-    fig5_overhead(queries=("Q1", "Q2", "Q3", "Q8"), events_per_partition=6000)
+    fig5_overhead(queries=("Q1", "Q2", "Q3", "Q8"))
 
 
 def _run_fig6_single() -> None:
     # 2 modes x 36000 events x 2 partitions, one mid-run kill each.
-    fig6_single_failure(
-        events_per_partition=36000, rate=6000.0, kill_at=4.0, checkpoint_interval=2.0
-    )
+    fig6_single_failure()
 
 
 def _run_fig6_multi() -> None:
     # 2 modes x 14000 events x 5 partitions, three staggered kills each —
     # the causal-log stress test (depth-5 chain under full DSD).
-    fig6_multi_failures(concurrent=False, rate=700.0, first_kill_at=6.0)
+    fig6_multi_failures()
 
 
 SUITES: Dict[str, SuiteSpec] = {

@@ -1,11 +1,7 @@
 """Command-line interface: run the paper's experiments from a shell.
 
-    python -m repro fig5 [--queries Q1,Q5] [--events 6000]
-    python -m repro fig6-single [--query Q3] [--victim 'join[0]']
-    python -m repro fig6-multi [--concurrent]
-    python -m repro trace [--mode clonos|flink|both] [--out DIR] [--check]
-    python -m repro memory
-    python -m repro table1
+    python -m repro figures [--only fig5,fig6-single,fig6-multi,memory,table1] [--events N]
+    python -m repro trace [--out DIR]
     python -m repro bench [--suite NAME ...] [--json BENCH_perf.json] [--golden-only]
     python -m repro profile [SUITE] [--top N] [--json]
     python -m repro lint [all | q5 | examples | path/to/file.py ...] [--strict]
@@ -16,8 +12,10 @@
     python -m repro transparency [--topologies pair-p1,...] [--json PATH]
     python -m repro scenarios [--list | --only NAMES] [--json PATH]
 
-Every experiment subcommand prints the reproduced table/series of the
-corresponding figure; see EXPERIMENTS.md for the mapping to the paper.
+``figures`` runs each selected figure of Section 7 at the parameters
+``repro.harness.figures`` declares for it and prints its tables and series;
+``--events`` shrinks the input of the figures with a finite input.  See
+EXPERIMENTS.md for the mapping to the paper.
 ``lint`` runs the NDLint static pass, ``verify-static`` the interprocedural
 causal-coverage analyzer (ND201–ND210), and ``sanitize`` the double-run
 determinism sanitizer (see README, "Verifying your pipeline is causally
@@ -25,12 +23,12 @@ loggable").  ``audit`` sweeps every stored artifact and verifies its content
 fingerprint; ``--inject K`` self-tests the sweep against seeded corruption
 (see README, "Artifact integrity").
 
-``trace`` records a fig6-style failure run on the causal event bus, exports
-JSONL + Chrome-trace/Perfetto JSON, and prints each recovery incident's
-per-phase breakdown plus the sim profiler's wall-clock hot spots (see
-README, "Observability").  ``bench`` times the named perf suites and checks
-the golden determinism digests (see ``repro.bench``); ``profile`` runs one
-suite under the sim-aware profiler and prints its wall-clock hot spots.
+``trace`` records the Figure 6 single-failure runs (both arms) on the causal
+event bus, exports JSONL + Chrome-trace/Perfetto JSON, prints each recovery
+incident's per-phase breakdown and checks the phase invariants (see README,
+"Observability").  ``bench`` times the named perf suites and checks the
+golden determinism digests (see ``repro.bench``); ``profile`` runs one suite
+under the sim-aware profiler and prints its wall-clock hot spots.
 
 ``chaos``, ``audit --soak``, ``transparency`` and ``scenarios`` are four
 fault-schedule sources over one fault-experiment engine
@@ -40,110 +38,55 @@ incident pack.  Each run is graded on one vocabulary — ``transparent``,
 ``announced-degradation``, ``violation:<why>``, ``skipped:<why>`` — and
 reported by one table/tally helper (see README, "Fault experiments").
 
-Exit codes, for the determinism-tooling and the fault verbs alike: 0 clean,
-1 findings (any ``violation:*`` or failed scenario check), 2 usage or
-internal error (including a ``--seeds``/``--only``/``--topologies`` that
-selects nothing — a gate that ran nothing is never green).
+Exit codes, for every verb: 0 clean, 1 findings (any ``violation:*``,
+failed scenario or trace check, lint finding, golden drift), 2 usage or
+internal error (including a selection that runs nothing — a gate that ran
+nothing is never green).  :func:`main` owns the 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib.util
 import sys
+import traceback
 from pathlib import Path
 from typing import List, Optional
 
 from repro.errors import ReproError
-from repro.harness.figures import (
-    fig5_overhead,
-    fig6_multi_failures,
-    fig6_single_failure,
-    latency_overhead,
-    memory_spill_study,
-    table1_assumptions,
-)
-from repro.harness.reporters import render_series, render_table
-from repro.nexmark.queries import QUERIES
+from repro.harness.figures import FIGURES, fig6_single_failure
+from repro.harness.reporters import render_table
 
 
-def _cmd_fig5(args) -> int:
-    queries = (
-        tuple(q.strip().upper() for q in args.queries.split(","))
-        if args.queries
-        else tuple(sorted(QUERIES, key=lambda q: int(q[1:])))
-    )
-    unknown = [q for q in queries if q not in QUERIES]
+class _UsageError(Exception):
+    """A malformed command line: one line on stderr, exit 2."""
+
+
+def _names(raw: str, flag: str) -> List[str]:
+    """A comma list; empty after stripping is a usage error, not "all"."""
+    names = [name.strip() for name in raw.split(",") if name.strip()]
+    if not names:
+        raise _UsageError(f"{flag} {raw!r} names nothing")
+    return names
+
+
+def _cmd_figures(args) -> int:
+    names = _names(args.only, "--only") if args.only is not None else list(FIGURES)
+    unknown = [name for name in names if name not in FIGURES]
     if unknown:
-        print(f"unknown queries: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    rows = fig5_overhead(queries=queries, events_per_partition=args.events)
-    print("Figure 5: relative throughput vs vanilla Flink")
-    print(
-        render_table(
-            ["query", "flink rec/s", "clonos DSD=1", "clonos DSD=Full"],
-            [
-                (r.query, f"{r.flink_rate:.0f}", f"{r.rel_dsd1:.3f}", f"{r.rel_full:.3f}")
-                for r in rows
-            ],
+        raise _UsageError(
+            f"unknown figures: {', '.join(unknown)} (known: {', '.join(FIGURES)})"
         )
-    )
-    lat = latency_overhead(query=queries[0], events_per_partition=args.events)
-    print()
-    print(
-        render_table(
-            ["latency (" + queries[0] + ")", "p50 ms", "p99 ms"],
-            [
-                ("flink", f"{lat.flink_p50 * 1e3:.2f}", f"{lat.flink_p99 * 1e3:.2f}"),
-                ("clonos DSD=1", f"{lat.dsd1_p50 * 1e3:.2f}", f"{lat.dsd1_p99 * 1e3:.2f}"),
-                ("clonos Full", f"{lat.full_p50 * 1e3:.2f}", f"{lat.full_p99 * 1e3:.2f}"),
-            ],
-        )
-    )
-    return 0
-
-
-def _cmd_fig6_single(args) -> int:
-    runs = fig6_single_failure(
-        query=args.query,
-        victim=args.victim,
-        events_per_partition=args.events,
-        rate=args.rate,
-        kill_at=args.kill_at,
-    )
-    for label, run in runs.items():
-        recovery = run.recovery_time
-        print(f"\n=== {label} ===")
-        print(
-            "recovery time:",
-            f"{recovery:.2f}s" if recovery is not None else "n/a",
-        )
-        print(render_series("output rate", run.throughput_series()))
-    return 0
-
-
-def _cmd_fig6_multi(args) -> int:
-    runs = fig6_multi_failures(concurrent=args.concurrent)
-    flavour = "concurrent" if args.concurrent else "staggered"
-    print(f"three {flavour} failures on the synthetic chain")
-    for label, run in runs.items():
-        recovery = run.recovery_time
-        print(f"\n=== {label} ===")
-        print(
-            "recovery time:",
-            f"{recovery:.2f}s" if recovery is not None else "n/a",
-        )
-        print(render_series("output rate", run.throughput_series()))
+    for name in names:
+        for block in FIGURES[name](args.events):
+            print(block + "\n", flush=True)
     return 0
 
 
 def _cmd_trace(args) -> int:
-    """Record a fig6-style failure run with tracing, export, summarize."""
+    """Record fig6-single's Q3 runs with tracing, export, summarize, check."""
     from repro.metrics.collectors import recovery_time
     from repro.trace import (
-        merge_profiles,
-        profiling,
         timeline_of,
         validate_chrome_trace,
         write_chrome_trace,
@@ -154,45 +97,22 @@ def _cmd_trace(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    wanted = ("clonos", "flink") if args.mode == "both" else (args.mode,)
-    if args.profile:
-        with profiling() as profilers:
-            runs = fig6_single_failure(
-                query=args.query,
-                victim=args.victim,
-                events_per_partition=args.events,
-                rate=args.rate,
-                kill_at=args.kill_at,
-                checkpoint_interval=args.checkpoint_interval,
-            )
-    else:
-        profilers = []
-        runs = fig6_single_failure(
-            query=args.query,
-            victim=args.victim,
-            events_per_partition=args.events,
-            rate=args.rate,
-            kill_at=args.kill_at,
-            checkpoint_interval=args.checkpoint_interval,
-        )
-
     failures = []
-    for label in wanted:
-        run = runs[label]
+    for label, run in fig6_single_failure().items():
         timeline = timeline_of(run.result)
         trace = run.result.jm.trace
+        stem = f"fig6-{run.query}-{label}"
         document = chrome_trace(
             trace,
             timeline,
-            job_name=f"fig6-{args.query}-{label}",
+            job_name=stem,
             extra_metadata={
-                "query": args.query,
+                "query": run.query,
                 "mode": label,
-                "victim": args.victim,
-                "kill_at": args.kill_at,
+                "victim": run.result.failures[0][1],
+                "kill_at": run.failure_time,
             },
         )
-        stem = f"fig6-{args.query}-{label}"
         jsonl_path = write_jsonl(out_dir / f"{stem}.jsonl", trace)
         chrome_path = write_chrome_trace(out_dir / f"{stem}.chrome.json", document)
         problems = validate_chrome_trace(document)
@@ -230,72 +150,30 @@ def _cmd_trace(args) -> int:
                     ],
                 )
             )
-            if args.check:
-                if incident.named_phase_count() < 5:
-                    failures.append(
-                        f"{label}: incident {incident.index} has only "
-                        f"{incident.named_phase_count()} named phases"
-                    )
-                if (
-                    incident.end_source == "latency-envelope"
-                    and measured is not None
-                    and measured > 0
-                    and abs(incident.phase_sum() - measured) > 0.01 * measured
-                ):
-                    failures.append(
-                        f"{label}: incident {incident.index} phase sum "
-                        f"{incident.phase_sum():.4f}s deviates >1% from "
-                        f"measured recovery {measured:.4f}s"
-                    )
-        if args.check and not timeline.incidents:
+            if incident.named_phase_count() < 5:
+                failures.append(
+                    f"{label}: incident {incident.index} has only "
+                    f"{incident.named_phase_count()} named phases"
+                )
+            if (
+                incident.end_source == "latency-envelope"
+                and measured is not None
+                and measured > 0
+                and abs(incident.phase_sum() - measured) > 0.01 * measured
+            ):
+                failures.append(
+                    f"{label}: incident {incident.index} phase sum "
+                    f"{incident.phase_sum():.4f}s deviates >1% from "
+                    f"measured recovery {measured:.4f}s"
+                )
+        if not timeline.incidents:
             failures.append(f"{label}: no recovery incidents reconstructed")
-
-    if profilers:
-        print()
-        print(merge_profiles(profilers).report(top=args.top))
 
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    if args.check:
-        print("\ntrace check: OK")
-    return 0
-
-
-def _cmd_memory(args) -> int:
-    rows = memory_spill_study(duration=args.duration)
-    print("Section 7.5: spill policies x pool sizes")
-    print(
-        render_table(
-            ["policy", "pool KB", "ingest rec/s", "peak bufs", "spilled"],
-            [
-                (r.policy, r.pool_kbytes, f"{r.rate:.0f}", r.peak_memory_buffers,
-                 r.spilled_buffers)
-                for r in rows
-            ],
-        )
-    )
-    return 0
-
-
-def _cmd_table1(args) -> int:
-    cells = table1_assumptions(n_records=args.events)
-    print("Table 1 (operationalised): consistency after recovering a failure")
-    print(
-        render_table(
-            ["scheme", "operator", "lost", "dup", "inconsistent", "exactly-once"],
-            [
-                (
-                    c.mode,
-                    "deterministic" if c.deterministic else "nondeterministic",
-                    c.lost, c.duplicated, c.inconsistent,
-                    "yes" if c.exactly_once else "NO",
-                )
-                for c in cells
-            ],
-        )
-    )
+    print("\ntrace check: OK")
     return 0
 
 
@@ -419,32 +297,26 @@ def _cmd_lint(args) -> int:
     from repro.analysis import dedupe_reports, lint_file, lint_graph
     from repro.nexmark.queries import QUERIES
 
-    targets = [t for t in (args.targets or ["all"])]
     reports = []
-    try:
-        for raw in targets:
-            target = raw.strip()
-            upper = target.upper()
-            if target == "all":
-                reports.extend(
-                    lint_file(_EXAMPLES_DIR / f"{name}.py") for name in _EXAMPLE_NAMES
-                )
-                reports.extend(lint_graph(_query_graph(q)) for q in sorted(QUERIES))
-            elif target == "examples":
-                reports.extend(
-                    lint_file(_EXAMPLES_DIR / f"{name}.py") for name in _EXAMPLE_NAMES
-                )
-            elif upper in QUERIES:
-                reports.append(lint_graph(_query_graph(upper)))
-            elif target.endswith(".py"):
-                reports.append(lint_file(target))
-            else:
-                print(f"unknown lint target {target!r} "
-                      f"(all | examples | Q1..Q14 | path/to/file.py)", file=sys.stderr)
-                return 2
-    except Exception as exc:  # internal error, not a finding: exit 2
-        print(f"ndlint: internal error: {exc!r}", file=sys.stderr)
-        return 2
+    for raw in args.targets or ["all"]:
+        target = raw.strip()
+        upper = target.upper()
+        if target == "all":
+            reports.extend(
+                lint_file(_EXAMPLES_DIR / f"{name}.py") for name in _EXAMPLE_NAMES
+            )
+            reports.extend(lint_graph(_query_graph(q)) for q in sorted(QUERIES))
+        elif target == "examples":
+            reports.extend(
+                lint_file(_EXAMPLES_DIR / f"{name}.py") for name in _EXAMPLE_NAMES
+            )
+        elif upper in QUERIES:
+            reports.append(lint_graph(_query_graph(upper)))
+        elif target.endswith(".py"):
+            reports.append(lint_file(target))
+        else:
+            raise _UsageError(f"unknown lint target {target!r} "
+                              f"(all | examples | Q1..Q14 | path/to/file.py)")
     dedupe_reports(reports)
     failed = False
     for report in reports:
@@ -463,26 +335,19 @@ def _cmd_lint(args) -> int:
 def _cmd_verify_static(args) -> int:
     """Interprocedural causal-coverage analysis (ND201–ND210) over a tree.
 
-    Exit codes follow the determinism-tooling convention: 0 clean, 1
-    findings (or parse errors in the scanned tree), 2 internal error.
+    Exit codes: 0 clean, 1 findings (or parse errors in the scanned tree).
     """
     import json as json_module
 
     from repro.analysis.causal import analyze_tree
 
-    try:
-        roots = [Path(p) if p is not None else None
-                 for p in (args.roots or [None])]
-        reports = []
-        for root in roots:
-            if root is not None and not root.is_dir():
-                print(f"verify-static: not a directory: {root}", file=sys.stderr)
-                return 2
-            package = root.name if root is not None else "repro"
-            reports.append(analyze_tree(root, package=package))
-    except Exception as exc:
-        print(f"verify-static: internal error: {exc!r}", file=sys.stderr)
-        return 2
+    reports = []
+    for raw in args.roots or [None]:
+        root = Path(raw) if raw is not None else None
+        if root is not None and not root.is_dir():
+            raise _UsageError(f"not a directory: {root}")
+        package = root.name if root is not None else "repro"
+        reports.append(analyze_tree(root, package=package))
     for report in reports:
         print(report.to_json() if args.json else report.render())
     if args.bench:
@@ -559,9 +424,8 @@ def _cmd_sanitize(args) -> int:
     for target in targets:
         resolved = _sanitize_thunk(target)
         if resolved is None:
-            print(f"unknown sanitize target {target!r} "
-                  f"(all | {' | '.join(_EXAMPLE_NAMES)} | Q1..Q14)", file=sys.stderr)
-            return 2
+            raise _UsageError(f"unknown sanitize target {target!r} "
+                              f"(all | {' | '.join(_EXAMPLE_NAMES)} | Q1..Q14)")
         label, thunk = resolved
         report = double_run(thunk, label=label, keep_trace=args.trace)
         print(report.render())
@@ -573,33 +437,6 @@ def _cmd_sanitize(args) -> int:
 #
 # chaos, audit --soak, transparency and scenarios are argument -> schedule
 # source adapters over one engine (repro.chaos.experiment) and one reporter.
-
-
-class _UsageError(Exception):
-    """A malformed command line: one line on stderr, exit 2."""
-
-
-def _fault_verb(run):
-    """The fault verbs' exit-code convention: 0 clean, 1 violations (from
-    :func:`_report`), 2 usage or internal error."""
-
-    @functools.wraps(run)
-    def command(args) -> int:
-        try:
-            return run(args)
-        except (_UsageError, ReproError) as exc:
-            print(f"{args.command}: {exc}", file=sys.stderr)
-            return 2
-
-    return command
-
-
-def _names(raw: str, flag: str) -> List[str]:
-    """A comma list; empty after stripping is a usage error, not "all"."""
-    names = [name.strip() for name in raw.split(",") if name.strip()]
-    if not names:
-        raise _UsageError(f"{flag} {raw!r} names nothing")
-    return names
 
 
 def _seeds(args, default: Optional[str] = None) -> List[int]:
@@ -632,6 +469,8 @@ def _report(title, columns, rows, results, verbose, json_path=None, payload=None
 
     from repro.metrics.collectors import recovery_summary
 
+    if not results:
+        raise _UsageError("the selection runs nothing (0 runs)")
     for r in results:
         if verbose or not r.ok:
             print(
@@ -663,7 +502,6 @@ def _report(title, columns, rows, results, verbose, json_path=None, payload=None
     return 1 if failed else 0
 
 
-@_fault_verb
 def _cmd_chaos(args) -> int:
     from repro.chaos import chaos_soak
 
@@ -690,7 +528,6 @@ def _cmd_chaos(args) -> int:
     )
 
 
-@_fault_verb
 def _cmd_scenarios(args) -> int:
     from repro.metrics.collectors import scenario_summary
     from repro.scenarios import SCENARIOS, run_pack
@@ -731,7 +568,6 @@ def _cmd_scenarios(args) -> int:
     )
 
 
-@_fault_verb
 def _cmd_audit(args) -> int:
     import random as random_module
 
@@ -779,7 +615,6 @@ def _cmd_audit(args) -> int:
     return 0 if report.ok else 1
 
 
-@_fault_verb
 def _cmd_transparency(args) -> int:
     from repro.transparency import (
         default_topologies,
@@ -825,58 +660,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p5 = sub.add_parser("fig5", help="overhead under normal operation")
-    p5.add_argument("--queries", help="comma-separated subset, e.g. Q1,Q5,Q7")
-    p5.add_argument("--events", type=int, default=6000,
-                    help="events per source partition")
-    p5.set_defaults(fn=_cmd_fig5)
-
-    p6 = sub.add_parser("fig6-single", help="single-operator failure")
-    p6.add_argument("--query", default="Q3", choices=("Q3", "Q8"))
-    p6.add_argument("--victim", default="join[0]")
-    p6.add_argument("--events", type=int, default=36000)
-    p6.add_argument("--rate", type=float, default=6000.0)
-    p6.add_argument("--kill-at", type=float, default=4.0, dest="kill_at")
-    p6.set_defaults(fn=_cmd_fig6_single)
-
-    p6m = sub.add_parser("fig6-multi", help="multiple/concurrent failures")
-    p6m.add_argument("--concurrent", action="store_true")
-    p6m.set_defaults(fn=_cmd_fig6_multi)
+    pfig = sub.add_parser(
+        "figures", help="the paper's figures and tables at their declared parameters"
+    )
+    pfig.add_argument("--only", default=None, metavar="NAMES",
+                      help="comma list of " + ", ".join(FIGURES) + " (default: all)")
+    pfig.add_argument("--events", type=int, default=None, metavar="N",
+                      help="events per source partition for the figures with a "
+                           "finite input (default: each figure's own)")
+    pfig.set_defaults(fn=_cmd_figures)
 
     ptr = sub.add_parser(
         "trace",
-        help="record a fig6-style failure run with causal tracing; export "
-             "JSONL + Chrome-trace JSON and print the per-phase breakdown",
+        help="record fig6-single's Q3 runs with causal tracing, export "
+             "JSONL + Chrome-trace JSON and check the recovery phases",
     )
-    ptr.add_argument("--query", default="Q3", choices=("Q3", "Q8"))
-    ptr.add_argument("--victim", default="join[0]")
-    ptr.add_argument("--events", type=int, default=36000)
-    ptr.add_argument("--rate", type=float, default=6000.0)
-    ptr.add_argument("--kill-at", type=float, default=4.0, dest="kill_at")
-    ptr.add_argument("--checkpoint-interval", type=float, default=2.0,
-                     dest="checkpoint_interval")
-    ptr.add_argument("--mode", default="clonos",
-                     choices=("clonos", "flink", "both"),
-                     help="which arm(s) to export (default clonos)")
     ptr.add_argument("--out", default="trace_out",
                      help="output directory for exported traces")
-    ptr.add_argument("--no-profile", dest="profile", action="store_false",
-                     help="skip the wall-clock sim profiler")
-    ptr.add_argument("--top", type=int, default=10,
-                     help="profiler rows to print (default 10)")
-    ptr.add_argument("--check", action="store_true",
-                     help="exit 1 unless every incident has >=5 named phases "
-                          "whose durations sum to within 1%% of the measured "
-                          "recovery time")
     ptr.set_defaults(fn=_cmd_trace)
-
-    pm = sub.add_parser("memory", help="spill-policy/memory study")
-    pm.add_argument("--duration", type=float, default=12.0)
-    pm.set_defaults(fn=_cmd_memory)
-
-    pt = sub.add_parser("table1", help="consistency vs determinism matrix")
-    pt.add_argument("--events", type=int, default=4000)
-    pt.set_defaults(fn=_cmd_table1)
 
     pb = sub.add_parser(
         "bench", help="perf suites + golden determinism digests"
@@ -1023,8 +824,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one verb.  Every error exits 2: a usage or library error prints
+    one line, anything else its traceback (never 1, which means findings)."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (_UsageError, ReproError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+    except Exception:
+        traceback.print_exc()
+    return 2
 
 
 if __name__ == "__main__":

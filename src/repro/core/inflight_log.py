@@ -145,13 +145,6 @@ class InFlightLog(InFlightLogSink):
                 self._spill_signal.pulse()
         self.buffers_logged += 1
 
-    def mark_sent(self, channel_index: int, seq: int) -> None:
-        for entries in self._entries.values():
-            for entry in entries:
-                if entry.buffer.channel_id == channel_index and entry.buffer.seq == seq:
-                    entry.sent = True
-                    return
-
     # -- spilling ---------------------------------------------------------------------
 
     def _spill_candidates(self) -> List[LogEntry]:
@@ -292,10 +285,3 @@ class InFlightLog(InFlightLogSink):
 
     def memory_buffers_in_use(self) -> int:
         return self.pool.in_use_buffers
-
-    def total_logged_bytes(self) -> int:
-        return sum(
-            entry.buffer.size_bytes
-            for entries in self._entries.values()
-            for entry in entries
-        )

@@ -122,14 +122,6 @@ class ExperimentResult:
         ]
         return sum(rates) / len(rates) if rates else 0.0
 
-    def mean_output_rate(self, start: float = 0.0, end: float = float("inf")) -> float:
-        rates = [
-            s.records_per_second
-            for s in self.output_throughput
-            if start <= s.time <= end
-        ]
-        return sum(rates) / len(rates) if rates else 0.0
-
     def latency_percentile(self, q: float, start: float = 0.0,
                            end: float = float("inf")) -> float:
         values = [p.latency for p in self.latencies if start <= p.time <= end]

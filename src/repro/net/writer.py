@@ -60,9 +60,6 @@ class InFlightLogSink:
         """Generator: take ownership of ``buffer`` (pool exchange) and log it."""
         raise NotImplementedError
 
-    def mark_sent(self, channel_index: int, seq: int) -> None:
-        raise NotImplementedError
-
 
 class OutputChannel:
     """Sender endpoint of one channel."""

@@ -531,7 +531,7 @@ class StreamTask:
                 )
             self.causal.append_main(OrderDeterminant(channel_index, buffer.seq))
             self.charge(self.cost.determinant_cpu_cost)
-        # Per-record fast path: _process_record is inlined and emission uses
+        # Per-record fast path: the record loop is inlined and emission uses
         # the non-blocking writer path, so a record that does not cut a
         # buffer costs zero generator frames and zero kernel interactions.
         ctx = self.ctx
@@ -591,19 +591,6 @@ class StreamTask:
                 self._channels_done.add(channel_index)
         if buffer.recycle_on_consume:
             buffer.recycle()
-
-    def _process_record(self, record: StreamRecord, channel_index: int):
-        self.offset_in_epoch += 1
-        self.records_processed += 1
-        self.charge(self.cost.record_cpu_cost)
-        ctx = self.ctx
-        ctx.current_key = record.key
-        ctx.element_timestamp = record.timestamp
-        ctx.element_created_at = record.created_at
-        ctx.input_index = self.input_infos[channel_index].input_index
-        self.backend.set_current_key(record.key)
-        self.operator.process(record, ctx)
-        yield from self._drain_output()
 
     def _fire_timer(self, timer: Timer):
         if self.causal is not None:

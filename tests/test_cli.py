@@ -1,35 +1,67 @@
 """Tests for the experiment CLI."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
 
 
+VERBS = {
+    "figures", "trace", "bench", "profile", "lint", "verify-static", "sanitize",
+    "chaos", "audit", "transparency", "scenarios",
+}
+
+
 def test_parser_knows_all_subcommands():
     parser = build_parser()
-    for command in ("fig5", "fig6-single", "fig6-multi", "memory", "table1"):
-        args = parser.parse_args([command] if command != "fig6-single" else [command])
-        assert callable(args.fn)
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == VERBS
+    for command in VERBS:
+        assert callable(parser.parse_args([command]).fn)
 
 
-def test_fig5_runs_one_query(capsys):
-    assert main(["fig5", "--queries", "Q1", "--events", "1500"]) == 0
+def test_figures_fig5_prints_both_tables(capsys):
+    assert main(["figures", "--only", "fig5", "--events", "300"]) == 0
     out = capsys.readouterr().out
-    assert "Figure 5" in out
-    assert "Q1" in out
-    assert "clonos DSD=1" in out
+    assert "Figure 5" in out and "Section 7.3" in out
+    assert "Q1" in out and "clonos DSD=1" in out
 
 
-def test_fig5_rejects_unknown_query(capsys):
-    assert main(["fig5", "--queries", "Q99"]) == 2
-    assert "unknown queries" in capsys.readouterr().err
+def test_figures_rejects_unknown_figure(capsys):
+    assert main(["figures", "--only", "fig5,fig99"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown figures: fig99" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_table1_prints_matrix(capsys):
-    assert main(["table1", "--events", "1200"]) == 0
+    assert main(["figures", "--only", "table1", "--events", "1200"]) == 0
     out = capsys.readouterr().out
     assert "clonos" in out and "gap_recovery" in out
     assert "exactly-once" in out
+
+
+def test_figure6_kill_after_the_input_ends_exits_2(capsys):
+    # 3000 events at 6000 rec/s end at 0.5 s, before the 4 s kill: there is
+    # no recovery to measure, which is a usage error, not a crash.
+    assert main(["figures", "--only", "fig6-single", "--events", "3000"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "fig6-single" in err and "at 4s never landed" in err
+    assert "ended at 0.50s simulated" in err
+
+
+def test_unexpected_error_in_a_verb_exits_2_with_traceback(capsys, monkeypatch):
+    import repro.chaos
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(repro.chaos, "chaos_soak", broken)
+    assert main(["chaos", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 def test_requires_subcommand():
@@ -129,6 +161,8 @@ def test_scenarios_payload_keys(capsys, tmp_path):
         (["transparency", "--topologies", ","], "names nothing"),
         (["scenarios", "--only", "nope"], "unknown scenario"),
         (["transparency", "--topologies", "nope"], "unknown topologies"),
+        (["transparency", "--topologies", "pair-p1", "--boundaries", "0",
+          "--no-compound"], "runs nothing"),
     ],
 )
 def test_fault_verbs_reject_bad_selections_with_exit_2(capsys, argv, message):
