@@ -21,10 +21,10 @@ task mid-run, and prints duplicates / losses / output latency for all three.
 
 from collections import Counter
 
-from repro import Environment, FaultToleranceMode, JobConfig, JobGraphBuilder, JobManager
+from repro import FaultToleranceMode, JobConfig, JobGraphBuilder
 from repro.core.output import ExactlyOnceKafkaSink
-from repro.external.kafka import DurableLog
-from repro.metrics.collectors import latency_points, percentile
+from repro.harness.experiment import run_experiment
+from repro.metrics.collectors import percentile
 from repro.operators import (
     FilterOperator,
     KafkaSink,
@@ -42,27 +42,27 @@ def reading(partition: int, offset: int):
 
 
 def run(sink_factory):
-    env = Environment()
-    log = DurableLog()
-    log.create_generated_topic("readings", 1, reading, RATE, N_READINGS)
-    log.create_topic("alerts", 1)
-    builder = JobGraphBuilder("alerts")
-    stream = builder.source("src", lambda: KafkaSource(log, "readings"))
-    hot = stream.key_by(lambda r: r[0] % 4).process(
-        "hot", lambda: FilterOperator(lambda r: r[1] >= 30.0)
-    )
-    hot.key_by(lambda r: 0).sink("sink", lambda: sink_factory(log))
-    config = JobConfig(mode=FaultToleranceMode.CLONOS, checkpoint_interval=0.5)
-    jm = JobManager(env, builder.build(), config)
-    jm.deploy()
-    env.schedule_callback(1.0, lambda: jm.kill_task("sink[0]"))
-    jm.run_until_done(limit=300)
+    def build(log, external):
+        log.create_generated_topic("readings", 1, reading, RATE, N_READINGS)
+        log.create_topic("alerts", 1)
+        builder = JobGraphBuilder("alerts")
+        stream = builder.source("src", lambda: KafkaSource(log, "readings"))
+        hot = stream.key_by(lambda r: r[0] % 4).process(
+            "hot", lambda: FilterOperator(lambda r: r[1] >= 30.0)
+        )
+        hot.key_by(lambda r: 0).sink("sink", lambda: sink_factory(log))
+        return builder.build()
 
-    counts = Counter(entry.value[0] for entry in log.read_all("alerts"))
+    config = JobConfig(mode=FaultToleranceMode.CLONOS, checkpoint_interval=0.5)
+    result = run_experiment(
+        build, config, kills=[(1.0, "sink[0]")], out_topic="alerts", limit=300
+    )
+
+    counts = Counter(value[0] for value in result.output_values())
     expected = {i for i in range(N_READINGS) if reading(0, i)[1] >= 30.0}
     duplicates = sum(c - 1 for c in counts.values())
     lost = len(expected - set(counts))
-    pre_failure = [p.latency for p in latency_points(log, "alerts") if p.time < 1.0]
+    pre_failure = [p.latency for p in result.latencies if p.time < 1.0]
     return duplicates, lost, percentile(pre_failure, 50) * 1e3
 
 

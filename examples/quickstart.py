@@ -15,8 +15,9 @@ failure never happened — which this script verifies.
 
 from collections import Counter
 
-from repro import Environment, FaultToleranceMode, JobConfig, JobGraphBuilder, JobManager
+from repro import FaultToleranceMode, JobConfig, JobGraph, JobGraphBuilder
 from repro.external.kafka import DurableLog
+from repro.harness.experiment import run_experiment
 from repro.operators import FlatMapOperator, KafkaSink, KafkaSource, KeyedCounterOperator
 
 SENTENCES = (
@@ -27,8 +28,13 @@ SENTENCES = (
 )
 
 
-def build_job(log: DurableLog) -> "JobGraphBuilder":
-    """source -> tokenize -> count -> sink."""
+def build_job(log: DurableLog, external=None) -> JobGraph:
+    """The input topic, then source -> tokenize -> count -> sink."""
+    # 4000 sentences arriving at 2000/s: a ~2 second stream.
+    log.create_generated_topic(
+        "lines", 1, lambda p, off: SENTENCES[off % len(SENTENCES)], 2000.0, 4000
+    )
+    log.create_topic("counts", 1)
     builder = JobGraphBuilder("wordcount")
     lines = builder.source("lines", lambda: KafkaSource(log, "lines"))
     words = lines.process(
@@ -42,26 +48,19 @@ def build_job(log: DurableLog) -> "JobGraphBuilder":
 
 
 def run(kill_the_counter: bool) -> Counter:
-    env = Environment()
-    log = DurableLog()
-    # 4000 sentences arriving at 2000/s: a ~2 second stream.
-    log.create_generated_topic(
-        "lines", 1, lambda p, off: SENTENCES[off % len(SENTENCES)], 2000.0, 4000
-    )
-    log.create_topic("counts", 1)
-
     config = JobConfig(mode=FaultToleranceMode.CLONOS, checkpoint_interval=0.5)
-    jm = JobManager(env, build_job(log), config)
-    jm.deploy()
-    if kill_the_counter:
-        env.schedule_callback(1.0, lambda: jm.kill_task("count[0]"))
-    jm.run_until_done(limit=120)
+    result = run_experiment(
+        build_job,
+        config,
+        kills=[(1.0, "count[0]")] if kill_the_counter else (),
+        out_topic="counts",
+        limit=120,
+    )
 
     # The sink topic holds every (word, running_count) update; the final
     # count per word is the largest update seen.
     finals: Counter = Counter()
-    for entry in log.read_all("counts"):
-        word, count = entry.value
+    for word, count in result.output_values():
         finals[word] = max(finals[word], count)
     return finals
 

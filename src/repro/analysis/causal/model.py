@@ -29,6 +29,10 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Tuple
 
 from repro.analysis.rules import (
+    _AMBIENT_CALLS,
+    _AMBIENT_PREFIXES,
+    _RNG_CALLS,
+    _RNG_PREFIXES,
     _WALL_CLOCK_CALLS,
     RULES_BY_KEY,
     Rule,
@@ -99,19 +103,13 @@ HASH_ORDER = "hash_order"
 SELECT_ORDER = "select_order"
 AMBIENT = "ambient"
 
-#: Dotted-name prefixes that draw module-level / OS randomness.  Seeded
-#: streams (``random.Random(derive_seed(...))``, ``self.rng.random()``)
-#: deliberately do NOT match: prefixes anchor at the start of the dotted
-#: name, so only the *module-level* ``random.*`` API is a source.
-RNG_PREFIXES: Tuple[str, ...] = (
-    "random.",
-    "np.random.",
-    "numpy.random.",
-    "secrets.",
-)
-RNG_CALLS: FrozenSet[str] = frozenset(
-    {"os.urandom", "os.getrandom", "uuid.uuid1", "uuid.uuid4"}
-)
+#: Dotted-name prefixes and calls that draw module-level / OS randomness
+#: (shared with ND102).  Seeded streams (``random.Random(derive_seed(...))``,
+#: ``self.rng.random()``) deliberately do NOT match: prefixes anchor at the
+#: start of the dotted name, so only the *module-level* ``random.*`` API is a
+#: source.
+RNG_PREFIXES: Tuple[str, ...] = _RNG_PREFIXES
+RNG_CALLS: FrozenSet[str] = _RNG_CALLS
 #: ``random.Random()`` *without* a seed argument falls back to OS entropy;
 #: with one it is the standard deterministic-stream idiom and is exempt.
 UNSEEDED_RNG_CTORS: FrozenSet[str] = frozenset({"random.Random", "Random"})
@@ -132,10 +130,9 @@ SELECT_ORDER_SUFFIXES: Tuple[str, ...] = (
     "._take_ready",
 )
 
-#: Ambient host/process environment reads (shared spirit with ND106).
-AMBIENT_CALLS: FrozenSet[str] = frozenset(
-    {"os.getenv", "os.getpid", "os.getcwd", "os.cpu_count", "input"}
-)
+#: Ambient host/process environment reads (shared with ND106).
+AMBIENT_PREFIXES: Tuple[str, ...] = _AMBIENT_PREFIXES
+AMBIENT_CALLS: FrozenSet[str] = _AMBIENT_CALLS
 
 
 # -- sanitizer taxonomy ------------------------------------------------------------
@@ -211,15 +208,6 @@ OUTPUT_SINK_SUFFIXES: Tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class SourceHit:
-    """One nondeterminism source observation inside a function."""
-
-    category: str
-    lineno: int
-    description: str
-
-
-@dataclass(frozen=True)
 class FlowStep:
     """One hop of a reported source→sink path."""
 
@@ -245,12 +233,6 @@ class CausalFinding:
         """``file:line`` — same shape as per-function lint findings, so
         :meth:`DeterminismViolation.from_findings` accepts either kind."""
         return f"{self.file}:{self.line}"
-
-    def render_path(self) -> str:
-        return "\n".join(
-            f"      {i + 1}. {step.file}:{step.line}  {step.description}"
-            for i, step in enumerate(self.path)
-        )
 
 
 def match_suffix(name: Optional[str], suffixes: Tuple[str, ...]) -> bool:

@@ -47,6 +47,7 @@ from repro.analysis.causal.graph import FunctionInfo, ModuleIndex, ModuleInfo
 from repro.analysis.causal.model import (
     AMBIENT,
     AMBIENT_CALLS,
+    AMBIENT_PREFIXES,
     CANONICALIZERS,
     CLOCK,
     CLOCK_CALLS,
@@ -437,7 +438,9 @@ class _Scanner:
             return self._source(
                 node, SELECT_ORDER, f"cross-channel select {name}()", base
             )
-        if _matches(name, AMBIENT_CALLS):
+        if _matches(name, AMBIENT_CALLS) or match_prefix(
+            name, AMBIENT_PREFIXES
+        ):
             return self._source(
                 node, AMBIENT, f"ambient environment read {name}()", base
             )

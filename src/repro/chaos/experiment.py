@@ -10,9 +10,11 @@ phases) and in which extra checks ride along; everything else is here, once:
 
 * :class:`SoakJob` — the synthetic nondeterministic chain into an
   exactly-once sink, and :func:`fast_chaos_config` for it;
-* :func:`run_experiment` — ``deploy -> arm faults -> run_until_done``; a
-  hang, a watchdog stall or an un-injectable fault is a *field* of the
-  returned :class:`Observation`, never an exception the caller must catch;
+* :func:`run_experiment` — the harness run
+  (:func:`repro.harness.experiment.deploy_experiment`, the one primitive
+  that builds, arms, samples and drives every simulated job) projected onto
+  an :class:`Observation`; a hang, a watchdog stall or an un-injectable
+  fault is a *field* of it, never an exception the caller must catch;
 * :func:`baseline` — the cached failure-free reference run;
 * :func:`origin_projection` — sink records projected to their input origin
   ``(partition, offset)``, the identity exactly-once is judged on
@@ -49,9 +51,8 @@ from repro.config import CostModel, FaultToleranceMode, JobConfig
 from repro.errors import FailureInjectionError, JobError, RecoveryStallError
 from repro.external.kafka import DurableLog
 from repro.graph.logical import JobGraph
-from repro.runtime.cluster import Cluster
+from repro.harness.experiment import deploy_experiment
 from repro.runtime.jobmanager import JobManager
-from repro.sim.core import Environment
 from repro.workloads.synthetic import WorkloadShaping, synthetic_chain
 
 Origin = Tuple[int, int]
@@ -115,7 +116,7 @@ class SoakJob:
     spare_nodes: int = 0
     zones: int = 1
 
-    def build(self, log: DurableLog) -> JobGraph:
+    def build(self, log: DurableLog, external=None) -> JobGraph:
         return synthetic_chain(
             log,
             depth=self.depth,
@@ -139,21 +140,6 @@ class SoakJob:
             for p in range(self.parallelism)
             for off in range(self.n_records)
         }
-
-
-def deploy(job: SoakJob, config: JobConfig) -> Tuple[Environment, DurableLog, JobManager]:
-    """A fresh environment with ``job`` deployed and not yet run."""
-    env = Environment()
-    log = DurableLog()
-    graph = job.build(log)
-    cluster = Cluster(
-        num_nodes=max(4, graph.total_tasks) + job.spare_nodes,
-        slots_per_node=2,
-        zones=job.zones,
-    )
-    jm = JobManager(env, graph, config, cluster=cluster)
-    jm.deploy()
-    return env, log, jm
 
 
 def origin_projection(values) -> Counter:
@@ -192,28 +178,33 @@ def run_experiment(
     job: SoakJob, faults: Faults, config: JobConfig, limit: float = 120.0
 ) -> Observation:
     """Deploy ``job``, arm ``faults``, run to completion or ``limit``
-    simulated seconds, and report what happened."""
-    env, log, jm = deploy(job, config)
-    plan = faults(jm) if callable(faults) else faults
-    engine = None
-    if plan is not None:
-        engine = ChaosEngine(jm, plan)
-        engine.arm()
+    simulated seconds, and report what happened: the harness run
+    (:func:`repro.harness.experiment.deploy_experiment`) projected onto an
+    :class:`Observation`."""
+    result = deploy_experiment(
+        job.build,
+        config,
+        faults,
+        out_topic=OUT_TOPIC,
+        spare_nodes=job.spare_nodes,
+        zones=job.zones,
+    )
     error = None
     try:
-        jm.run_until_done(limit=limit)
+        result.run(limit=limit)
     except JobError as exc:  # incl. RecoveryStallError, FailureInjectionError
         error = exc
+    jm = result.jm
     return Observation(
         expected=job.expected,
-        projection=origin_projection(e.value for e in log.read_all(OUT_TOPIC)),
-        recovery_events=list(jm.recovery_events),
+        projection=origin_projection(result.output_values()),
+        recovery_events=list(result.recovery_events),
         error=error,
-        kills_landed=len(jm.failures_injected),
+        kills_landed=len(result.failures),
         quarantined=frozenset(ident for _task, ident in jm.poison.quarantine_log),
-        duration=env.now,
+        duration=result.duration,
         jm=jm,
-        engine=engine,
+        engine=result.engine,
     )
 
 

@@ -271,8 +271,6 @@ class ClonosConfig:
     inflight_pool_bytes: int = 512 * 1024
     #: Available-buffer fraction below which SPILL_THRESHOLD starts spilling.
     spill_threshold_fraction: float = 0.25
-    #: Determinant buffer pool budget, bytes (paper: ~5 MB at DSD=1).
-    determinant_pool_bytes: int = 64 * 1024
     #: Timestamp-service caching granularity (Section 4.2): timestamps are
     #: refreshed at most once per this many seconds, cutting determinant
     #: volume by ~100x.
@@ -375,8 +373,6 @@ class JobConfig:
     seed: int = 7
     #: Low-watermark emission period at sources.
     watermark_interval: float = 0.2
-    #: Allowed out-of-orderness (lateness bound) for event-time watermarks.
-    watermark_lateness: float = 0.5
     #: At-least-once control RPCs for the recovery-critical messages (replay
     #: requests): message ids, acks, timeout-driven resends.  Turning this
     #: off demonstrates how a lossy control plane wedges recovery.

@@ -280,8 +280,3 @@ class InFlightLog(InFlightLogSink):
                     yield accepted
                 entry.sent = True
                 self.buffers_replayed += 1
-
-    # -- metrics -------------------------------------------------------------------------------
-
-    def memory_buffers_in_use(self) -> int:
-        return self.pool.in_use_buffers

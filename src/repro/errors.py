@@ -124,12 +124,6 @@ class FailureInjectionError(JobError):
         self.waited = waited
 
 
-class OrphanStateError(RecoveryError):
-    """A surviving task depends on a nondeterministic event whose determinant
-    was lost with the failed tasks; local recovery is impossible and the job
-    must fall back to a global rollback (Figure 4, bottom-left leaf)."""
-
-
 class DeterminantLogError(RecoveryError):
     """The determinant log is malformed or diverges from re-execution."""
 

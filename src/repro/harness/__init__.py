@@ -2,7 +2,7 @@
 
 from repro.harness.experiment import (
     ExperimentResult,
-    SourceProgressSampler,
+    deploy_experiment,
     run_experiment,
 )
 from repro.harness.figures import (
@@ -29,9 +29,9 @@ __all__ = [
     "FailureRunResult",
     "LatencyOverheadRow",
     "OverheadRow",
-    "SourceProgressSampler",
     "SpillRow",
     "default_cost",
+    "deploy_experiment",
     "experiment_config",
     "fig5_overhead",
     "fig6_multi_failures",

@@ -1,9 +1,13 @@
 """Experiment runner: one simulated job, measured the paper's way.
 
-Wraps the whole lifecycle: build the world (broker, DFS, external service),
-deploy a job graph under a given config, attach throughput/latency sampling,
-inject failures at scheduled instants, run, and return an
-:class:`ExperimentResult` with the metrics every figure of Section 7 needs.
+The one place a simulated job is built and run.  :func:`deploy_experiment`
+builds the world (broker, DFS, external service, cluster), deploys a job
+graph under a given config, arms its faults, attaches throughput sampling
+and schedules its kills; :meth:`ExperimentResult.run` drives it.
+:func:`run_experiment` does both and returns the :class:`ExperimentResult`
+every figure of Section 7 reads; the fault gates
+(:func:`repro.chaos.experiment.run_experiment`) project the same result
+onto their verdict record.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import JobConfig
 from repro.external.http import ExternalService
@@ -19,12 +23,15 @@ from repro.external.kafka import DurableLog
 from repro.graph.logical import JobGraph
 from repro.metrics.collectors import (
     LatencyPoint,
+    RateSampler,
     ThroughputSample,
+    ThroughputSampler,
     latency_points,
     percentile,
     recovery_time,
     throughput_dip,
 )
+from repro.runtime.cluster import Cluster
 from repro.runtime.jobmanager import JobManager
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
@@ -53,62 +60,57 @@ def _gc_paused() -> Iterator[None]:
             gc.collect()
 
 
-class SourceProgressSampler:
-    """Samples total records ingested by the sources: the saturation-side
-    throughput measure used for the overhead experiments (the output rate of
-    windowed queries is too bursty to compare)."""
-
-    def __init__(self, env: Environment, jm: JobManager, period: float = 1.0 / 3.0):
-        self.env = env
-        self.jm = jm
-        self.period = period
-        self.samples: List[ThroughputSample] = []
-        self._last = 0
-        self._proc = env.process(self._run(), name="source-progress")
-
-    def _total_offset(self) -> int:
-        total = 0
-        for vertex in self.jm.vertices.values():
-            if vertex.is_source and vertex.task is not None:
-                total += getattr(vertex.task.operator, "offset", 0)
-        return total
-
-    def _run(self):
-        while True:
-            yield self.env.timeout(self.period)
-            total = self._total_offset()
-            self.samples.append(
-                ThroughputSample(self.env.now, (total - self._last) / self.period)
-            )
-            self._last = total
-
-    def mean_rate(self, start: float = 0.0, end: float = float("inf")) -> float:
-        rates = [s.records_per_second for s in self.samples if start <= s.time <= end]
-        return sum(rates) / len(rates) if rates else 0.0
-
-    def stop(self) -> None:
-        if self._proc.is_alive:
-            self._proc.kill()
+def _source_offsets(jm: JobManager) -> int:
+    """Total records ingested by the sources: the saturation-side throughput
+    measure used for the overhead experiments (the output rate of windowed
+    queries is too bursty to compare)."""
+    total = 0
+    for vertex in jm.vertices.values():
+        if vertex.is_source and vertex.task is not None:
+            total += getattr(vertex.task.operator, "offset", 0)
+    return total
 
 
 @dataclass
 class ExperimentResult:
-    """Everything a figure needs from one run."""
+    """One deployed job, and everything a figure needs from its run."""
 
     config: JobConfig
     jm: JobManager
     log: DurableLog
     out_topic: str
-    duration: float
     output_throughput: List[ThroughputSample]
     input_throughput: List[ThroughputSample]
-    failures: List[Tuple[float, str]]
-    recovery_events: List[Tuple[float, str, str]]
-    #: Placements that had to break a (anti-)affinity constraint — non-zero
-    #: means some recovery lost its fault-isolation guarantee.
-    affinity_violations: int = 0
-    #: The armed chaos engine, when the run had a fault plan.
-    chaos: Optional[object] = None
+    #: The armed chaos engine, when the run had faults.
+    engine: Optional[object] = None
+    _samplers: Tuple[RateSampler, ...] = field(default=(), repr=False)
+
+    def run(self, duration: Optional[float] = None,
+            limit: float = 3600.0) -> "ExperimentResult":
+        """Drive the job to completion (finite input) or for ``duration``
+        simulated seconds; a crash, hang or stall raises :class:`JobError`."""
+        jm = self.jm
+        try:
+            if duration is not None:
+                jm.drive(jm.env.now + duration)
+            else:
+                jm.run_until_done(limit=limit)
+        finally:
+            for sampler in self._samplers:
+                sampler.stop()
+        return self
+
+    @property
+    def duration(self) -> float:
+        return self.jm.env.now
+
+    @property
+    def failures(self) -> List[Tuple[float, str]]:
+        return self.jm.failures_injected
+
+    @property
+    def recovery_events(self) -> List[Tuple[float, str, str]]:
+        return self.jm.recovery_events
 
     @property
     def latencies(self) -> List[LatencyPoint]:
@@ -139,22 +141,28 @@ class ExperimentResult:
         return [entry.value for entry in self.log.read_all(self.out_topic)]
 
 
-def run_experiment(
-    graph_fn: Callable[[DurableLog, Optional[ExternalService]], JobGraph],
+GraphFn = Callable[[DurableLog, Optional[ExternalService]], JobGraph]
+
+
+def deploy_experiment(
+    graph_fn: GraphFn,
     config: JobConfig,
-    duration: Optional[float] = None,
+    faults=None,
     kills: Sequence[Tuple[float, str]] = (),
     out_topic: str = "out",
     with_external: bool = False,
-    limit: float = 3600.0,
-    sample_period: float = 1.0 / 3.0,
-    fault_plan=None,
+    spare_nodes: int = 0,
+    zones: int = 1,
 ) -> ExperimentResult:
-    """Run one experiment to completion (finite input) or for ``duration``.
+    """Build the world, deploy the job, arm its faults and samplers, and
+    return it not yet run (see :meth:`ExperimentResult.run`).
 
     ``graph_fn(log, external)`` builds the job graph, creating its input
-    topics on ``log``.  ``fault_plan`` (a :class:`repro.chaos.FaultPlan`)
-    arms a chaos engine against the deployed job before it runs.
+    topics on ``log``.  ``faults`` is a :class:`repro.chaos.FaultPlan`, or a
+    callable given the deployed job manager that returns a plan or arms its
+    faults itself and returns None.  ``kills`` are ``(instant, task)``
+    crashes.  The cluster has ``spare_nodes`` beyond the minimum, spread
+    over ``zones`` availability zones.
     """
     env = Environment()
     log = DurableLog()
@@ -162,39 +170,51 @@ def run_experiment(
         ExternalService(env, RandomStreams(config.seed)) if with_external else None
     )
     graph = graph_fn(log, external)
-    jm = JobManager(env, graph, config, external=external)
+    cluster = Cluster(
+        num_nodes=max(4, graph.total_tasks) + spare_nodes,
+        slots_per_node=2,
+        zones=zones,
+    )
+    jm = JobManager(env, graph, config, cluster=cluster, external=external)
     jm.deploy()
+    plan = faults(jm) if callable(faults) else faults
     engine = None
-    if fault_plan is not None:
+    if plan is not None:
         from repro.chaos.engine import ChaosEngine
 
-        engine = ChaosEngine(jm, fault_plan)
+        engine = ChaosEngine(jm, plan)
         engine.arm()
-
-    from repro.metrics.collectors import ThroughputSampler
-
-    out_sampler = ThroughputSampler(env, log, out_topic, period=sample_period)
-    in_sampler = SourceProgressSampler(env, jm, period=sample_period)
+    # Both sample at the paper's 1/3 s period (Section 7.1).
+    out_sampler = ThroughputSampler(env, log, out_topic)
+    in_sampler = RateSampler(env, lambda: _source_offsets(jm), "source-progress")
     for when, victim in kills:
         env.schedule_callback(when, lambda name=victim: jm.kill_task(name))
-
-    with _gc_paused():
-        if duration is not None:
-            jm.drive(env.now + duration)
-        else:
-            jm.run_until_done(limit=limit)
-    out_sampler.stop()
-    in_sampler.stop()
     return ExperimentResult(
         config=config,
         jm=jm,
         log=log,
         out_topic=out_topic,
-        duration=env.now,
         output_throughput=out_sampler.samples,
         input_throughput=in_sampler.samples,
-        failures=list(jm.failures_injected),
-        recovery_events=list(jm.recovery_events),
-        affinity_violations=jm.cluster.affinity_violations,
-        chaos=engine,
+        engine=engine,
+        _samplers=(out_sampler, in_sampler),
     )
+
+
+def run_experiment(
+    graph_fn: GraphFn,
+    config: JobConfig,
+    duration: Optional[float] = None,
+    kills: Sequence[Tuple[float, str]] = (),
+    out_topic: str = "out",
+    with_external: bool = False,
+    limit: float = 3600.0,
+    faults=None,
+) -> ExperimentResult:
+    """Deploy one experiment (:func:`deploy_experiment`) and run it to
+    completion (finite input) or for ``duration``, with cyclic GC paused."""
+    result = deploy_experiment(
+        graph_fn, config, faults, kills, out_topic, with_external
+    )
+    with _gc_paused():
+        return result.run(duration, limit)

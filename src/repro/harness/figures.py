@@ -204,9 +204,6 @@ class FailureRunResult:
     def recovery_time(self) -> Optional[float]:
         return self.result.recovery_time_after(0)
 
-    def latency_series(self) -> List[Tuple[float, float]]:
-        return [(p.time, p.latency) for p in self.result.latencies]
-
     def throughput_series(self) -> List[Tuple[float, float]]:
         return [(s.time, s.records_per_second) for s in self.result.output_throughput]
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.chaos.experiment import SoakJob, deploy, fast_chaos_config
+from repro.chaos.experiment import OUT_TOPIC, SoakJob, fast_chaos_config
 from repro.errors import IntegrityError
+from repro.harness.experiment import deploy_experiment
 from repro.integrity.monitor import ARTIFACT_KINDS
 
 __all__ = ["AuditReport", "audit_job", "audit_matches", "audit_run"]
@@ -150,9 +151,8 @@ def audit_run(seed: int = 0, n_records: int = 1200):
     in-flight buffers, determinant replicas.  Returns the job manager."""
     job = SoakJob(n_records=n_records, rate=1000.0)
     config = fast_chaos_config(seed=seed, checkpoint_interval=0.25)
-    env, _log, jm = deploy(job, config)
-    env.run(until=n_records / job.rate * 0.6)
-    return jm
+    result = deploy_experiment(job.build, config, out_topic=OUT_TOPIC)
+    return result.run(duration=n_records / job.rate * 0.6).jm
 
 
 def audit_matches(kind: str, detail: str, violations) -> bool:

@@ -9,7 +9,7 @@ within 10% of the pre-failure level — including catch-up.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.external.kafka import DurableLog
 from repro.sim.core import Environment
@@ -25,30 +25,30 @@ class LatencyPoint(NamedTuple):
     latency: float
 
 
-class ThroughputSampler:
-    """Polls a topic's size on a fixed period (default 1/3 s, as the paper)."""
+class RateSampler:
+    """Polls a record count on a fixed period (default 1/3 s, as the paper)
+    and samples its rate of growth since the previous poll."""
 
     def __init__(
         self,
         env: Environment,
-        log: DurableLog,
-        topic: str,
+        count: Callable[[], int],
+        name: str,
         period: float = 1.0 / 3.0,
     ):
         self.env = env
-        self.log = log
-        self.topic = topic
+        self.count = count
         self.period = period
         self.samples: List[ThroughputSample] = []
-        self._last_size = 0
-        self._proc = env.process(self._run(), name=f"throughput:{topic}")
+        self._last = 0
+        self._proc = env.process(self._run(), name=name)
 
     def _run(self):
         while True:
             yield self.env.timeout(self.period)
-            size = self.log.topic_size(self.topic)
-            rate = (size - self._last_size) / self.period
-            self._last_size = size
+            total = self.count()
+            rate = (total - self._last) / self.period
+            self._last = total
             self.samples.append(ThroughputSample(self.env.now, rate))
 
     def stop(self) -> None:
@@ -58,6 +58,21 @@ class ThroughputSampler:
     def mean_rate(self, start: float = 0.0, end: float = float("inf")) -> float:
         rates = [s.records_per_second for s in self.samples if start <= s.time <= end]
         return sum(rates) / len(rates) if rates else 0.0
+
+
+class ThroughputSampler(RateSampler):
+    """Samples the growth rate of ``topic``: the paper's throughput measure."""
+
+    def __init__(
+        self,
+        env: Environment,
+        log: DurableLog,
+        topic: str,
+        period: float = 1.0 / 3.0,
+    ):
+        super().__init__(
+            env, lambda: log.topic_size(topic), f"throughput:{topic}", period
+        )
 
 
 def latency_points(log: DurableLog, topic: str) -> List[LatencyPoint]:

@@ -51,10 +51,6 @@ class NetworkBuffer:
         self.recycle_on_consume = True
 
     @property
-    def record_count(self) -> int:
-        return self.n_records
-
-    @property
     def total_bytes(self) -> int:
         """Payload plus piggybacked determinant bytes: what the wire carries."""
         return self.size_bytes + self.delta_bytes

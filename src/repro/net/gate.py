@@ -168,10 +168,6 @@ class InputGate:
         if woke_any:
             self.arrival_signal.pulse()
 
-    @property
-    def blocked_channels(self) -> List[int]:
-        return [ch.index for ch in self.channels if ch.blocked]
-
     def close(self) -> None:
         for channel in self.channels:
             channel.close()

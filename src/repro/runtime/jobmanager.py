@@ -77,9 +77,6 @@ class VertexRuntime:
     def is_sink(self) -> bool:
         return self.node.is_sink
 
-    def upstream_names(self) -> List[str]:
-        return [up for (_f, _i, up, _l) in self.in_links]
-
     def downstream_names(self) -> List[str]:
         return [down for (_e, chans) in self.out_links for (_f, down, _l) in chans]
 

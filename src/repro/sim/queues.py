@@ -44,10 +44,6 @@ class Store(Generic[T]):
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
-
     def put(self, item: T) -> Event:
         """Queue ``item``; the returned event triggers once it is accepted."""
         ev = Event(self.env)

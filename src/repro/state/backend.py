@@ -173,9 +173,6 @@ class HashMapStateBackend:
     def set_current_key(self, key: Any) -> None:
         self.current_key = key
 
-    def clear_current_key(self) -> None:
-        self.current_key = _NO_KEY
-
     def keys(self, state_name: str) -> List[Any]:
         return list(self._tables.get(state_name, {}).keys())
 

@@ -73,7 +73,7 @@ class Topology:
 class PairJob(SoakJob):
     """The minimal 2-operator topology: src -> (keyed) -> exactly-once sink."""
 
-    def build(self, log: DurableLog) -> JobGraph:
+    def build(self, log: DurableLog, external=None) -> JobGraph:
         parallelism = self.parallelism
         log.create_generated_topic(
             IN_TOPIC, parallelism, lambda p, off: (p, off), self.rate, self.n_records

@@ -5,6 +5,8 @@ real runtime: operator classes with ``snapshot`` methods, a causal-log
 handle, determinant constructors, and context/writer sinks.
 """
 
+import pytest
+
 from tests.analysis.causal.conftest import findings_of, rule_ids
 
 BAD_STATE = """
@@ -148,3 +150,40 @@ def test_report_json_carries_flow_paths(mini_tree):
     finding = next(f for f in payload["findings"] if f["rule"] == "ND201")
     assert finding["path"], "JSON findings must carry their flow path"
     assert all(step["line"] > 0 for step in finding["path"])
+
+
+AMBIENT_STATE = """
+import os
+import platform
+import socket
+
+
+class HostOp:
+    def __init__(self):
+        self.host = None
+
+    def process(self, record, ctx):
+        self.host = {read}
+
+    def snapshot(self):
+        return {{"host": self.host}}
+"""
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        "os.getpid()",
+        "os.getppid()",
+        "socket.gethostname()",
+        "os.environ.get('HOSTNAME')",
+        "platform.node()",
+    ],
+)
+def test_ambient_read_reaching_snapshot_state(mini_tree, read):
+    """The causal analyzer flags every ambient read NDLint v1 (ND106) does."""
+    report = mini_tree({"ops.py": AMBIENT_STATE.format(read=read)})
+    hits = findings_of(report, "ND201")
+    assert hits, report.render()
+    descriptions = " ".join(step.description for step in hits[0].path)
+    assert "ambient environment read" in descriptions

@@ -91,6 +91,23 @@ class TestRunExperiment:
         assert [name for _t, name in result.failures] == ["stage1[0]"]
         assert any(kind == "recovered" for _t, kind, _n in result.recovery_events)
 
+    @pytest.mark.parametrize("as_callable", [False, True])
+    def test_faults_land_as_plan_or_callable(self, as_callable):
+        from repro.chaos import FaultPlan
+
+        plan = FaultPlan(seed=1).add(0.3, "task_kill", target="stage1[0]")
+        result = run_experiment(
+            simple_graph(),
+            make_config(FaultToleranceMode.CLONOS),
+            limit=120,
+            faults=(lambda jm: plan) if as_callable else plan,
+        )
+        assert ("chaos:task_kill", "stage1[0]") in [
+            (kind, name) for _t, kind, name in result.recovery_events
+        ]
+        assert [name for _t, name in result.failures] == ["stage1[0]"]
+        assert result.engine.applied
+
     def test_latency_percentile_accessor(self):
         result = run_experiment(
             simple_graph(), make_config(FaultToleranceMode.CLONOS), limit=120

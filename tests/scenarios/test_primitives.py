@@ -105,17 +105,22 @@ def test_cluster_rejects_more_zones_than_nodes():
 
 
 def test_zone_outage_recovers_with_announcement_at_worst():
-    from repro.chaos.experiment import OUT_TOPIC, SoakJob, deploy, fast_chaos_config
+    from repro.chaos.experiment import OUT_TOPIC, SoakJob, fast_chaos_config
+    from repro.harness.experiment import deploy_experiment
 
-    env, log, jm = deploy(
-        SoakJob(zones=2, spare_nodes=4), fast_chaos_config(seed=3)
-    )
+    job = SoakJob(zones=2, spare_nodes=4)
     plan = FaultPlan(seed=3).add(0.25, "zone_outage", target="0", duration=0.5)
-    engine = ChaosEngine(jm, plan)
-    engine.arm()
-    jm.run_until_done(limit=600)
+    result = deploy_experiment(
+        job.build,
+        fast_chaos_config(seed=3),
+        plan,
+        out_topic=OUT_TOPIC,
+        spare_nodes=job.spare_nodes,
+        zones=job.zones,
+    ).run(limit=600)
+    engine, jm = result.engine, result.jm
     assert engine.applied, engine.skipped
-    counts = origin_counts(log, topic=OUT_TOPIC)
+    counts = origin_counts(result.log, topic=OUT_TOPIC)
     expected = {(p, o) for p in range(2) for o in range(1200)}
     missing = [pair for pair in expected if counts[pair] == 0]
     degradations = [e for e in jm.recovery_events if e[1].startswith("degraded:")]
