@@ -14,16 +14,22 @@ index, which makes merging idempotent: replayed/duplicated deltas are
 harmless, the store simply keeps the longest prefix per epoch.
 
 Representation (DESIGN.md §7, addendum).  Per (log, epoch) a
-:class:`_Segment` holds the entries, a packed ``bytearray`` of their 4-byte
-fingerprints, the running wire-byte total and the rolling CRC, all maintained
-at append/merge time.  A delta slice is a **reference, not a copy**:
-``(task, log, epoch, base, end, entries, fps, end_bytes)`` names indices
-``[base, end)`` of the *sender's own* append-only ``entries``/``fps``.  The
-receiver's already-held test is ``end <= len(stored)``; a fresh merge is one
-list extend, one ``bytearray +=`` and one streaming ``crc32`` over the fresh
-fingerprint bytes — O(1) Python work per slice.  The rule this imposes: out-
-of-band damage (``repro.integrity.corruption``) swaps in a damaged *copy* of
-a segment and never mutates lists a slice on the wire may still read.
+:class:`_Segment` is the first ``n`` entries of an ``entries`` list plus the
+first ``4n`` bytes of a packed ``bytearray`` of their fingerprints, with the
+running wire-byte total; all maintained at append/merge time.  A delta slice
+is a **reference, not a copy**: ``(task, log, epoch, base, end, entries, fps,
+end_bytes)`` names indices ``[base, end)`` of the *sender's* append-only
+``entries``/``fps``.  A holder's replica is a **view** on those same lists:
+the first merge adopts them, and a later merge from the same lists advances
+``n`` — O(1), no copy, no CRC work; the already-held test is ``end <= n``.
+An own segment owns its lists (``n == len(entries)``) and keeps an explicit
+rolling CRC; a view's seal is derived, ``crc32(fps[:4n])``, bit-identical
+because the CRC streams.  Only a slice from *other* lists (a recovered
+incarnation's, a damaged holder's copy) makes a view materialise its prefix
+into lists of its own, which it then extends in place.  The rules this
+imposes: only a list's owner appends to it, and out-of-band damage
+(``repro.integrity.corruption``) swaps in a damaged *copy* of a segment and
+never mutates lists a slice on the wire or a view may still read.
 """
 
 from __future__ import annotations
@@ -49,20 +55,34 @@ def queue_log_name(channel_index: int) -> str:
 
 
 class _Segment:
-    """One epoch of one log.  ``fps`` packs ``fingerprint(entry)``, four
-    big-endian bytes each; ``crc`` is the rolling ``crc32`` over ``fps`` (which
-    :meth:`EpochLog.verify` recomputes from the entries); ``nbytes`` is the
-    entries' total wire size."""
+    """One epoch of one log: ``entries[:n]``.  ``fps`` packs
+    ``fingerprint(entry)``, four big-endian bytes each; ``nbytes`` is the
+    entries' total wire size.  A segment either owns its lists (``n ==
+    len(entries)``, explicit rolling ``_crc``) or is a *view* on a sender's
+    lists (``_crc is None``), whose seal is derived from ``fps[:4n]``."""
 
-    __slots__ = ("entries", "fps", "nbytes", "crc")
+    __slots__ = ("entries", "fps", "n", "nbytes", "_crc")
 
     def __init__(
-        self, entries: List[Determinant], fps: bytearray, nbytes: int, crc: int
+        self,
+        entries: List[Determinant],
+        fps: bytearray,
+        n: int,
+        nbytes: int,
+        crc: Optional[int],
     ):
         self.entries = entries
         self.fps = fps
+        self.n = n
         self.nbytes = nbytes
-        self.crc = crc
+        self._crc = crc
+
+    @property
+    def crc(self) -> int:
+        """The seal :meth:`EpochLog.verify` checks: the rolling ``crc32`` over
+        ``fps[:4n]``, streamed for an owner, computed on demand for a view."""
+        crc = self._crc
+        return crc32(self.fps[: 4 * self.n], _CRC_SEED) if crc is None else crc
 
 
 class EpochLog:
@@ -78,7 +98,7 @@ class EpochLog:
     def _segment(self, epoch: int) -> _Segment:
         seg = self._epochs.get(epoch)
         if seg is None:
-            seg = self._epochs[epoch] = _Segment([], bytearray(), 0, _CRC_SEED)
+            seg = self._epochs[epoch] = _Segment([], bytearray(), 0, 0, _CRC_SEED)
             self._sorted_epochs = None
         return seg
 
@@ -89,23 +109,27 @@ class EpochLog:
         size = determinant.wire_size()
         seg.entries.append(determinant)
         seg.fps += fp
-        seg.crc = crc32(fp, seg.crc)
+        seg._crc = crc32(fp, seg._crc)
         seg.nbytes += size
         self.bytes_held += size
-        return len(seg.entries) - 1
+        seg.n += 1
+        return seg.n - 1
 
     def entries(self, epoch: int) -> List[Determinant]:
-        """Entries of ``epoch`` — possibly a shared empty list; callers must
-        treat the result as read-only."""
+        """Entries of ``epoch`` — the segment's own list (possibly a shared
+        empty one), or a prefix copy of a view's; callers must treat the
+        result as read-only."""
         seg = self._epochs.get(epoch)
-        return seg.entries if seg is not None else _NO_ENTRIES
+        if seg is None:
+            return _NO_ENTRIES
+        return seg.entries if seg._crc is not None else seg.entries[: seg.n]
 
     def slice_of(
         self, epoch: int, base: int = 0
     ) -> Tuple[int, int, int, List[Determinant], bytearray, int]:
         """Everything ``epoch`` holds from ``base`` on, by reference."""
         seg = self._epochs[epoch]
-        return (epoch, base, len(seg.entries), seg.entries, seg.fps, seg.nbytes)
+        return (epoch, base, seg.n, seg.entries, seg.fps, seg.nbytes)
 
     def epochs(self) -> List[int]:
         """Epochs in ascending order.  The returned list is a cached view —
@@ -116,14 +140,15 @@ class EpochLog:
         return cached
 
     def length(self, epoch: int) -> int:
-        return len(self.entries(epoch))
+        seg = self._epochs.get(epoch)
+        return seg.n if seg is not None else 0
 
     def truncate_before(self, epoch: int) -> int:
         """Drop epochs earlier than ``epoch`` (checkpoint complete)."""
         dropped = 0
         for e in [e for e in self._epochs if e < epoch]:
             seg = self._epochs.pop(e)
-            dropped += len(seg.entries)
+            dropped += seg.n
             self.bytes_held -= seg.nbytes
             self._sorted_epochs = None
         return dropped
@@ -137,40 +162,55 @@ class EpochLog:
         fps: bytearray,
         end_bytes: int,
     ) -> None:
-        """Idempotent merge of a by-reference slice: extend the epoch with
-        whatever part of ``[base, end)`` lies beyond what we already hold,
-        folding into the rolling CRC exactly the fingerprints stored here."""
-        seg = self._segment(epoch)
-        have = len(seg.entries)
+        """Idempotent merge of a by-reference slice, by copy: extend the epoch
+        with whatever part of ``[base, end)`` lies beyond what we already
+        hold, folding into the rolling CRC exactly the fingerprints stored
+        here.  A view first materialises its prefix into lists of its own
+        (``CausalLogManager.merge_delta`` advances a view on the same lists
+        without calling this)."""
+        seg = self._epochs.get(epoch)
+        have = 0 if seg is None else seg.n
         if base > have:
             raise DeterminantLogError(
                 f"delta gap: have {have} entries of epoch {epoch}, "
                 f"delta starts at {base}"
             )
+        if seg is None:
+            seg = self._segment(epoch)
         if have < end:
+            if seg._crc is None:
+                seg.entries = seg.entries[:have]
+                seg.fps = seg.fps[: 4 * have]
+                seg._crc = crc32(seg.fps, _CRC_SEED)
             fresh = fps[4 * have : 4 * end]
             seg.entries += entries[have:end]
             seg.fps += fresh
-            seg.crc = crc32(fresh, seg.crc)
+            seg._crc = crc32(fresh, seg._crc)
+            seg.n = end
             self.bytes_held += end_bytes - seg.nbytes
             seg.nbytes = end_bytes
 
     def verify(self, name: str = "") -> None:
         """Raise :class:`IntegrityError` if any epoch's entries no longer
-        match its rolling fingerprint (recomputed from the entries)."""
+        match its seal (the fingerprints recomputed from the entries)."""
         for epoch, seg in self._epochs.items():
-            crc = combine_all(_CRC_SEED, [fingerprint(det) for det in seg.entries])
-            if crc != seg.crc:
+            crc = combine_all(
+                _CRC_SEED, [fingerprint(det) for det in seg.entries[: seg.n]]
+            )
+            seal = seg.crc
+            if crc != seal:
                 raise IntegrityError(
                     "determinant-log",
                     f"{name}@epoch{epoch}",
-                    expected=seg.crc,
+                    expected=seal,
                     actual=crc,
                 )
 
     def size_bytes(self) -> int:
         return sum(
-            det.wire_size() for seg in self._epochs.values() for det in seg.entries
+            det.wire_size()
+            for seg in self._epochs.values()
+            for det in seg.entries[: seg.n]
         )
 
 
@@ -208,10 +248,13 @@ def merge_bundles(bundles: List[LogBundle]) -> LogBundle:
         for name, log in bundle.logs.items():
             target = merged.log(name)
             for epoch, seg in log._epochs.items():
-                if len(seg.entries) > target.length(epoch):
+                n = seg.n
+                held = target._epochs.get(epoch)
+                if n > (held.n if held else 0):
                     target._epochs[epoch] = _Segment(
-                        list(seg.entries), bytearray(seg.fps), seg.nbytes, seg.crc
+                        seg.entries[:n], seg.fps[: 4 * n], n, seg.nbytes, seg.crc
                     )
+                    target.bytes_held += seg.nbytes - (held.nbytes if held else 0)
                     target._sorted_epochs = None
     return merged
 
@@ -317,7 +360,7 @@ class CausalLogManager:
         for log_name, log in self.bundle.logs.items():
             for epoch in log.epochs():
                 seg = log._epochs[epoch]
-                count = len(seg.entries)
+                count = seg.n
                 sent, sent_bytes = cursors.get((log_name, epoch), (0, 0))
                 if sent < count:
                     total = seg.nbytes
@@ -371,7 +414,7 @@ class CausalLogManager:
             if seg is None or seg in seen:
                 continue
             seen.add(seg)
-            count = len(seg.entries)
+            count = seg.n
             if have < count:
                 total = seg.nbytes
                 slices.append(
@@ -431,18 +474,33 @@ class CausalLogManager:
             seg = log._epochs.get(epoch)
             if seg is None:
                 have = have_bytes = 0
+                view = not base
             else:
-                have = len(seg.entries)
+                have = seg.n
                 if end <= have:
                     continue
                 have_bytes = seg.nbytes
-            try:
-                log.merge_slice(epoch, base, end, entries, fps, end_bytes)
-            except DeterminantLogError as exc:
-                raise DeterminantLogError(
-                    f"{self.task_id}: merging delta of task={task_id} "
-                    f"log={log_name} from sender={sender_task_id}: {exc}"
-                ) from exc
+                # Only a view shares its lists with an incoming slice: an
+                # owner's list is never shorter than a slice cut from it.
+                view = entries is seg.entries and base <= have
+            if view:
+                # The replica is (or becomes) a view on the sender's lists:
+                # taking the fresh entries is advancing the count.
+                if seg is None:
+                    log._epochs[epoch] = _Segment(entries, fps, end, end_bytes, None)
+                    log._sorted_epochs = None
+                else:
+                    seg.n = end
+                    seg.nbytes = end_bytes
+                log.bytes_held += end_bytes - have_bytes
+            else:
+                try:
+                    log.merge_slice(epoch, base, end, entries, fps, end_bytes)
+                except DeterminantLogError as exc:
+                    raise DeterminantLogError(
+                        f"{self.task_id}: merging delta of task={task_id} "
+                        f"log={log_name} from sender={sender_task_id}: {exc}"
+                    ) from exc
             if forwards:
                 chunk = (task_id, log_name, log, epoch, have, have_bytes)
                 journal.append(chunk)

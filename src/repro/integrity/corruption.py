@@ -199,16 +199,17 @@ def _swap_in_segment(log, epoch: int, entries) -> None:
     """Replace one epoch of ``log`` with a damaged copy: ``entries`` logged
     afresh (their fingerprints follow the content, exactly as if the log had
     been written this way, so a replica fed from this holder seals what it is
-    given) under the old byte total and the old, now stale, rolling CRC.
-    Delta slices share the holder's lists by reference, so — per this
-    module's copy-on-corrupt rule — the damage must never be done in place: a
-    disk flip cannot rewrite a delta that already left on the wire."""
+    given) under the old byte total and the intact seal, now an explicit,
+    stale CRC.  Delta slices and downstream replicas (views) share the
+    holder's lists by reference, so — per this module's copy-on-corrupt rule
+    — the damage must never be done in place: a disk flip cannot rewrite a
+    delta that already left on the wire."""
     intact = log._epochs[epoch]
     rewritten = type(log)()
     damaged = rewritten._segment(epoch)
     for det in entries:
         rewritten.append(epoch, det)
-    damaged.nbytes, damaged.crc = intact.nbytes, intact.crc
+    damaged.nbytes, damaged._crc = intact.nbytes, intact.crc
     log._epochs[epoch] = damaged
 
 

@@ -157,8 +157,6 @@ class JobManager:
         self._checkpoint_proc = None
         #: NDLint report of the last ``submit(lint=...)`` call, if any.
         self.lint_report = None
-        #: Causal-coverage report of the last ``submit(static=...)`` call.
-        self.static_report = None
         #: (task_name, exception) for tasks that crashed on a bug (as opposed
         #: to injected failures); surfaced by run_until_done.
         self.crashed: List[Tuple[str, BaseException]] = []
@@ -178,7 +176,7 @@ class JobManager:
 
     # -- deployment --------------------------------------------------------------------
 
-    def submit(self, lint: str = "off", static: str = "off"):
+    def submit(self, lint: str = "off"):
         """Lint the job graph for un-intercepted nondeterminism, then deploy.
 
         ``lint`` selects the per-graph NDLint policy:
@@ -188,23 +186,14 @@ class JobManager:
         * ``"strict"`` — refuse graphs with error-severity findings by
           raising :class:`~repro.errors.DeterminismViolation`.
 
-        ``static`` selects the framework-tree causal-coverage policy (same
-        three values): it runs :func:`repro.analysis.causal.analyze_tree`
-        over the installed ``repro`` sources — the interprocedural
-        ND201/ND202/ND203/ND210 gate (same analysis as ``repro
-        verify-static``) — so a job never deploys onto a runtime whose own
-        recovery coverage has regressed.  ``"warn"`` prints the report to
-        stderr; ``"strict"`` raises :class:`DeterminismViolation` on
-        findings (or :class:`JobError` when the tree does not even parse).
-        The report is kept on :attr:`static_report`.
+        The framework's own causal coverage is a property of the source
+        tree, not of a job: ``repro verify-static`` and CI check it.
 
         Returns the :class:`~repro.analysis.report.LintReport` (None when
         ``lint="off"``), also kept on :attr:`lint_report`.
         """
         if lint not in ("off", "warn", "strict"):
             raise JobError(f"unknown lint policy {lint!r} (off|warn|strict)")
-        if static not in ("off", "warn", "strict"):
-            raise JobError(f"unknown static policy {static!r} (off|warn|strict)")
         report = None
         if lint != "off":
             import sys
@@ -218,25 +207,6 @@ class JobManager:
                 raise DeterminismViolation.from_findings(report.errors)
             if report.findings:
                 print(report.render(), file=sys.stderr)
-        if static != "off":
-            import sys
-
-            from repro.analysis.causal import analyze_tree
-            from repro.errors import DeterminismViolation
-
-            static_report = analyze_tree()
-            self.static_report = static_report
-            if not static_report.ok:
-                if static == "strict":
-                    if static_report.findings:
-                        raise DeterminismViolation.from_findings(
-                            static_report.findings
-                        )
-                    raise JobError(
-                        "causal-coverage analysis could not parse the tree: "
-                        + "; ".join(static_report.parse_errors[:3])
-                    )
-                print(static_report.render(), file=sys.stderr)
         self.deploy()
         return report
 

@@ -22,24 +22,59 @@ perturbs RNG streams — enabling it leaves sink output byte-identical (see
 ``tests/trace/test_passivity.py``).
 """
 
-from repro.trace.events import TraceEvent, TraceLog, tracing
-from repro.trace.export import (
-    chrome_trace,
-    events_to_jsonl,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.trace.profiler import SimProfiler, merge_profiles, profiling
-from repro.trace.spans import Span, build_span_tree
-from repro.trace.timeline import (
-    JobTimeline,
-    Phase,
-    RecoveryIncident,
-    breakdown_extra_info,
-    build_timeline,
-    timeline_of,
-)
+from __future__ import annotations
+
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.trace.events import TraceEvent, TraceLog, tracing
+    from repro.trace.export import (
+        chrome_trace,
+        events_to_jsonl,
+        validate_chrome_trace,
+        write_chrome_trace,
+        write_jsonl,
+    )
+    from repro.trace.profiler import SimProfiler, merge_profiles, profiling
+    from repro.trace.spans import Span, build_span_tree
+    from repro.trace.timeline import (
+        JobTimeline,
+        Phase,
+        RecoveryIncident,
+        breakdown_extra_info,
+        build_timeline,
+        timeline_of,
+    )
+
+#: Re-exported name -> defining submodule.  Loaded on first access (PEP 562),
+#: so the runtime's import of :mod:`repro.trace.events` does not pull in the
+#: exporters, profiler and timeline tooling.
+_EXPORTS = {
+    **dict.fromkeys(("TraceEvent", "TraceLog", "tracing"), "events"),
+    **dict.fromkeys(
+        ("chrome_trace", "events_to_jsonl", "validate_chrome_trace",
+         "write_chrome_trace", "write_jsonl"),
+        "export",
+    ),
+    **dict.fromkeys(("SimProfiler", "merge_profiles", "profiling"), "profiler"),
+    **dict.fromkeys(("Span", "build_span_tree"), "spans"),
+    **dict.fromkeys(
+        ("JobTimeline", "Phase", "RecoveryIncident", "breakdown_extra_info",
+         "build_timeline", "timeline_of"),
+        "timeline",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "TraceEvent",

@@ -65,23 +65,3 @@ def test_unknown_lint_policy_rejected():
     _env, _log, jm = _job(fx.good_wall_clock)
     with pytest.raises(JobError):
         jm.submit(lint="loose")
-
-
-def test_static_gate_runs_the_causal_analyzer_on_submit():
-    _env, _log, jm = _job(fx.good_wall_clock)
-    jm.submit(lint="off", static="strict")
-    assert jm.static_report is not None
-    assert jm.static_report.ok  # the shipped tree passes its own gate
-    assert jm.static_report.stats["modules"] > 50
-
-
-def test_static_off_skips_the_causal_analyzer():
-    _env, _log, jm = _job(fx.good_wall_clock)
-    jm.submit(lint="off", static="off")
-    assert jm.static_report is None
-
-
-def test_unknown_static_policy_rejected():
-    _env, _log, jm = _job(fx.good_wall_clock)
-    with pytest.raises(JobError):
-        jm.submit(static="loose")

@@ -189,3 +189,77 @@ def test_delta_wire_size_counts_headers_and_entries():
     mgr.append_main(ts(2.0, fresh=False))
     slices, nbytes = mgr.delta_for_dispatch(0)
     assert delta_wire_size(slices) == nbytes == 12 + 9 + 1
+
+
+class TestReplicaViews:
+    """A holder's replica is the first ``n`` entries of the sender's lists;
+    only a slice from other lists makes it copy."""
+
+    @staticmethod
+    def sender(values, name="up"):
+        mgr = CausalLogManager(name, 1, None)
+        for value in values:
+            mgr.append_main(ts(value))
+        return mgr
+
+    def test_merges_from_one_list_advance_a_view(self):
+        up = self.sender([1.0])
+        down = CausalLogManager("down", 0, None)
+        down.merge_delta(up.delta_for_dispatch(0)[0], "up")
+        up.append_main(ts(2.0))
+        down.merge_delta(up.delta_for_dispatch(0)[0], "up")
+        own = up.bundle.log(MAIN)._epochs[0]
+        replica = down.stored_bundle_for("up").log(MAIN)
+        seg = replica._epochs[0]
+        assert seg.entries is own.entries and seg.fps is own.fps and seg.n == 2
+        assert replica.entries(0) == [ts(1.0), ts(2.0)]
+        assert seg.crc == own.crc
+        assert replica.bytes_held == replica.size_bytes() == own.nbytes
+        up.append_main(ts(3.0))  # the owner appends; the view still reads [0, 2)
+        assert replica.length(0) == 2 and replica.entries(0) == [ts(1.0), ts(2.0)]
+        replica.verify()
+
+    def test_a_gap_raises_before_anything_is_stored(self):
+        up = self.sender([1.0, 2.0, 3.0])
+        slices, _ = up.delta_for_dispatch(0)
+        gap = [(t, l, e, 2, end, entries, fps, nb)
+               for t, l, e, _base, end, entries, fps, nb in slices]
+        down = CausalLogManager("down", 0, None)
+        with pytest.raises(DeterminantLogError):
+            down.merge_delta(gap, "up")
+        assert down.stored_bundle_for("up").log(MAIN).epochs() == []
+        with pytest.raises(DeterminantLogError):
+            EpochLog().merge_slice(*up.bundle.log(MAIN).slice_of(0, base=2))
+        # A view on the same lists: the gap leaves its count where it was.
+        one = self.sender([1.0])
+        down.merge_delta(one.delta_for_dispatch(0)[0], "up")
+        for value in (2.0, 3.0, 4.0):
+            one.append_main(ts(value))
+        _t, _l, e, _b, end, entries, fps, nb = one.delta_for_dispatch(0)[0][0]
+        with pytest.raises(DeterminantLogError):
+            down.merge_delta([("up", MAIN, e, 3, end, entries, fps, nb)], "up")
+        replica = down.stored_bundle_for("up").log(MAIN)
+        assert replica.length(0) == 1 and replica.bytes_held == 9
+
+    def test_a_second_list_materialises_once_and_leaves_the_first_untouched(self):
+        first = self.sender([1.0, 2.0])
+        down = CausalLogManager("down", 0, None)
+        down.merge_delta(first.delta_for_dispatch(0)[0], "up")
+        # A new incarnation of "up" carries the same content in lists of its
+        # own, then more.
+        second = self.sender([1.0, 2.0, 3.0])
+        down.merge_delta(second.delta_for_dispatch(0)[0], "up")
+        own = first.bundle.log(MAIN)._epochs[0]
+        seg = down.stored_bundle_for("up").log(MAIN)._epochs[0]
+        copied = seg.entries
+        assert copied is not own.entries
+        assert copied is not second.bundle.log(MAIN)._epochs[0].entries
+        assert copied == [ts(1.0), ts(2.0), ts(3.0)] and seg.n == 3
+        assert own.entries == [ts(1.0), ts(2.0)] and len(own.fps) == 8
+        second.append_main(ts(4.0))
+        down.merge_delta(second.delta_for_dispatch(0)[0], "up")
+        assert seg.entries is copied and seg.n == 4  # extended in place
+        assert own.entries == [ts(1.0), ts(2.0)] and len(own.fps) == 8
+        replica = down.stored_bundle_for("up")
+        replica.verify()
+        assert replica.log(MAIN).bytes_held == replica.size_bytes() == 4 * 9

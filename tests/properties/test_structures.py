@@ -13,6 +13,7 @@ from repro.core.causal_log import (
     CausalLogManager,
     EpochLog,
     delta_wire_size,
+    merge_bundles,
     queue_log_name,
 )
 from repro.core.determinants import TimestampDeterminant
@@ -114,6 +115,18 @@ class ReferenceManager:
     def reset_channel(self, channel):
         self.sent = {k: v for k, v in self.sent.items() if k[0] != channel}
 
+    def restarted(self, holders):
+        """A new incarnation whose own logs are, per (log, epoch), the
+        longest copy any holder keeps; no store, no cursors."""
+        fresh = ReferenceManager(self.task_id, self.dsd)
+        for holder in holders:
+            for log_name, epochs in holder.store[self.task_id][1].items():
+                own = fresh.own.setdefault(log_name, {})
+                for epoch, entries in epochs.items():
+                    if len(entries) > len(own.get(epoch, ())):
+                        own[epoch] = list(entries)
+        return fresh
+
     def checkpoint_complete(self, checkpoint_id):
         self.truncated_before = max(self.truncated_before, checkpoint_id)
         for logs in [self.own] + [held[1] for held in self.store.values()]:
@@ -133,7 +146,9 @@ def _assert_log_matches(log, reference_epochs, where):
             crc = combine(crc, _fp(det, ()))
         seg = log._epochs[epoch]
         assert seg.crc == crc, (where, epoch)
-        assert len(seg.fps) == 4 * len(expected), (where, epoch)
+        assert seg.n == len(expected), (where, epoch)
+        packed = b"".join(_fp(det, ()).to_bytes(4, "big") for det in expected)
+        assert bytes(seg.fps[: 4 * seg.n]) == packed, (where, epoch)
     assert log.bytes_held == log.size_bytes(), where
     log.verify(where)
 
@@ -165,6 +180,29 @@ OPERATIONS = [
 ]
 
 
+def _restart(name, graph, real, ref, epoch, wires, delivered):
+    """Replace ``name``'s manager with a new incarnation, as recovery does:
+    its bundle is ``merge_bundles`` of the holders' replicas, its upstreams
+    re-send everything, and what was in flight to or from it is lost.  The
+    new incarnation appends to lists of its own, so from here on holders
+    receive slices from lists other than the ones their replicas view."""
+    holders = sorted(n for n in real if name in real[n].store)
+    fresh = CausalLogManager(name, len(graph[name]), real[name].dsd)
+    fresh.bundle = merge_bundles([real[n].stored_bundle_for(name) for n in holders])
+    fresh.current_epoch = epoch
+    real[name] = fresh
+    ref[name] = ref[name].restarted([ref[n] for n in holders])
+    for channel in range(len(graph[name])):
+        wires[name, channel].clear()
+    for sender, receivers in graph.items():
+        for channel, receiver in enumerate(receivers):
+            if receiver == name:
+                real[sender].reset_channel_cursors(channel)
+                ref[sender].reset_channel(channel)
+                wires[sender, channel].clear()
+                delivered[sender, channel].clear()
+
+
 @given(
     st.sampled_from(sorted(TOPOLOGIES)),
     st.sampled_from([1, 2, None]),
@@ -180,7 +218,7 @@ def test_by_reference_deltas_match_reference(topology, dsd, seed):
     epoch_of = dict.fromkeys(names, 0)
     wires = {(n, c): deque() for n in names for c in range(len(graph[n]))}
     delivered = {key: [] for key in wires}
-    kinds, weights = zip(*OPERATIONS)
+    kinds, weights = zip(*OPERATIONS, ("restart", 2))
 
     for count, op in enumerate(rng.choices(kinds, weights, k=400)):
         name = rng.choice(names)
@@ -233,6 +271,8 @@ def test_by_reference_deltas_match_reference(topology, dsd, seed):
             checkpoint_id = rng.randint(1, epoch_of[name])
             mgr.on_checkpoint_complete(checkpoint_id)
             model.checkpoint_complete(checkpoint_id)
+        elif op == "restart":
+            _restart(name, graph, real, ref, epoch_of[name], wires, delivered)
 
     for name in names:
         mgr, model = real[name], ref[name]

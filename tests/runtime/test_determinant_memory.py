@@ -56,3 +56,26 @@ def test_failure_free_clonos_keeps_no_merged_delta_and_a_compact_journal():
         assert len(journal) <= 2 * owed, (task.name, len(journal), owed)
         forwarding += bool(causal._first_chunks)
     assert forwarding
+
+
+def test_failure_free_clonos_replicas_are_views_on_their_origins_lists():
+    """With no failure every replica is a prefix view of what its origin
+    appended: no holder copies a determinant."""
+    config = make_config(FaultToleranceMode.CLONOS)
+    config.clonos.determinant_sharing_depth = None
+    result = run_experiment(chain, config, limit=120)
+    assert not result.failures
+    vertices = result.jm.vertices
+    views = 0
+    for vertex in vertices.values():
+        for origin, (_distance, bundle) in vertex.task.causal.store.items():
+            own = vertices[origin].task.causal.bundle
+            for log_name, replica in bundle.logs.items():
+                for epoch, seg in replica._epochs.items():
+                    mine = own.logs[log_name]._epochs.get(epoch)
+                    if mine is None:  # the origin truncated it first
+                        continue
+                    assert seg.entries is mine.entries, (vertex.name, origin, epoch)
+                    assert seg.fps is mine.fps and seg.n <= mine.n
+                    views += 1
+    assert views
