@@ -74,6 +74,44 @@ def test_fault_gate_verdicts_match_the_pinned_goldens():
         assert fresh[gate] == pinned[gate], gate
 
 
+#: Each gate's command line as CI runs it -> (exit code, sha256 of stdout,
+#: sha256 of the ``--json`` payload or None).  The reporter's bytes are part
+#: of the gates' contract: a CI log or a replay hint must read the same.
+PINNED_OUTPUT = {
+    ("chaos", "--seeds", "0:16", "--max-faults", "4"): (
+        0, "1b2dd10414dc4af3aad0e5d96645867f6848e7a5577b168266cf3f195873f1d7", None,
+    ),
+    ("audit", "--soak", "--seeds", "0:12"): (
+        0, "918c6b7a454923fa0d2c3b2b71a905ae027abe12bb045451c67c0c8829621874", None,
+    ),
+    ("transparency", "--json", "BENCH_transparency.json"): (
+        0,
+        "28c71fdeacdd8f0ce6af316469124c64bec545f655a8ebef93d23136250804f6",
+        "21959714b93d4a0dfb69d41cba3723398f84ec392ed1f29da4289a39f40a27cd",
+    ),
+    ("scenarios", "--json", "BENCH_scenarios.json"): (
+        0,
+        "57ad4c9fb822b0032a4a2ba9c79d78f33681628dc5aed58d0c595c7d2080cd83",
+        "0ae5f18d548841c3fef4cd2744e1dbddb1486d94e895910fb0cd879cb094adfa",
+    ),
+}
+
+
+def test_fault_gate_stdout_and_payloads_match_the_pins(capsys, monkeypatch, tmp_path):
+    import hashlib
+
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    for argv, (code, stdout_sha, payload_sha) in PINNED_OUTPUT.items():
+        assert main(list(argv)) == code, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, argv
+        if payload_sha is not None:
+            payload = (tmp_path / argv[-1]).read_bytes()
+            assert hashlib.sha256(payload).hexdigest() == payload_sha, argv
+
+
 if __name__ == "__main__":
     GOLDENS.write_text(json.dumps(current(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDENS}")
