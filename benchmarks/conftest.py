@@ -41,50 +41,48 @@ def _lint_status() -> str:
         return f"unavailable ({type(exc).__name__})"
 
 
-@lru_cache(maxsize=1)
-def _chaos_status() -> str:
-    """Seeded chaos-soak verdict (computed once per session; recorded in
-    every benchmark's extra_info next to the NDLint verdict, so a recovery
-    regression that would corrupt the failure experiments is visible in the
-    saved numbers).  A handful of fixed seeds keeps it cheap; each seed
-    reproduces locally with ``python -m repro chaos --seed N``."""
-    try:
-        from repro.chaos import chaos_soak
+#: The fault-gate cases every benchmark records a verdict for: a handful of
+#: each gate's own cases, run at the gate's declared parameters.
+GATE_PROBES = {
+    "chaos": ["0", "1", "2", "3"],
+    "integrity": ["0", "1", "2"],
+    "scenarios": ["backpressure_storm", "poison_pill"],
+}
 
-        results = chaos_soak(range(4), max_faults=3, n_records=600)
+
+@lru_cache(maxsize=None)
+def _gate_status(gate: str) -> str:
+    """One fault gate's verdict over its probe cases (computed once per
+    session; recorded in every benchmark's extra_info next to the NDLint
+    verdict, so a recovery regression that would corrupt the failure
+    experiments is visible in the saved numbers).  A red case reproduces
+    locally with ``python -m repro gates --only <gate> --case <label>
+    --verbose``."""
+    try:
+        from repro.harness.gates import select
+
+        (cases,) = select([gate], GATE_PROBES[gate]).values()
+        results = [run() for _label, run in cases]
         violations = [r.label for r in results if not r.ok]
         if violations:
-            return f"violations at seeds {violations}"
+            return f"violations at {violations}"
         degraded = sum(r.outcome != "transparent" for r in results)
-        return f"clean ({len(results)} seeds, {degraded} degraded)"
+        return f"clean ({len(results)} runs, {degraded} degraded)"
     except Exception as exc:  # pragma: no cover - keep benchmarks running
         return f"unavailable ({type(exc).__name__})"
 
 
 @lru_cache(maxsize=1)
-def _integrity_status() -> str:
-    """Integrity verdict (computed once per session; recorded in every
-    benchmark's extra_info).  Two cheap probes: the corruption-chaos soak
-    over fixed seeds (validated recovery must end exactly-once or announced
-    degraded) and the audit self-test (a seeded sweep must flag every
-    injected corruption).  Each seed reproduces locally with
-    ``python -m repro audit --soak --seed N``."""
+def _audit_status() -> str:
+    """The audit self-test (computed once per session; recorded in every
+    benchmark's extra_info): a seeded sweep must flag every injected
+    corruption, as ``python -m repro audit --inject 4`` checks."""
     try:
         import random
 
         from repro.integrity.audit import audit_job, audit_matches, audit_run
         from repro.integrity.corruption import random_corruptions
-        from repro.integrity.soak import integrity_soak
         from repro.sim.rng import derive_seed
-
-        results = integrity_soak(range(3), n_records=600)
-        violations = [r.label for r in results if not r.ok]
-        if violations:
-            return f"violations at seeds {violations}"
-        flagged = sum(
-            int(r.integrity_summary.get("total_failed", 0)) + len(r.audit.violations)
-            for r in results
-        )
 
         jm = audit_run(seed=0, n_records=600)
         injected = random_corruptions(
@@ -98,33 +96,7 @@ def _integrity_status() -> str:
         ]
         if missed or not injected:
             return f"audit missed {len(missed)}/{len(injected)} injections"
-        return (
-            f"clean ({len(results)} soak seeds, {flagged} flagged; "
-            f"audit {len(injected)}/{len(injected)} detected)"
-        )
-    except Exception as exc:  # pragma: no cover - keep benchmarks running
-        return f"unavailable ({type(exc).__name__})"
-
-
-@lru_cache(maxsize=1)
-def _scenario_status() -> str:
-    """Scenario-pack verdict (computed once per session; recorded in every
-    benchmark's extra_info).  A reduced slice of the production incident
-    pack — one strict and one announced-degradation scenario — so a recovery
-    regression that would fail the CI scenario matrix is visible next to the
-    numbers.  A red scenario reproduces locally with
-    ``python -m repro scenarios --only <name>``."""
-    try:
-        from repro.metrics.collectors import scenario_summary
-        from repro.scenarios import run_pack, SCENARIOS
-
-        results = run_pack(
-            SCENARIOS, only=["backpressure_storm", "poison_pill"]
-        )
-        summary = scenario_summary(results)
-        if summary["failed"]:
-            return f"failed: {', '.join(summary['failed'])}"
-        return f"clean ({summary['passed']}/{summary['scenarios']} scenarios)"
+        return f"clean ({len(injected)}/{len(injected)} detected)"
     except Exception as exc:  # pragma: no cover - keep benchmarks running
         return f"unavailable ({type(exc).__name__})"
 
@@ -157,9 +129,9 @@ def run_once(benchmark, fn, *args, **kwargs):
     with traced_environments(keep_trace=False) as tracers:
         result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
     benchmark.extra_info["ndlint"] = _lint_status()
-    benchmark.extra_info["chaos"] = _chaos_status()
-    benchmark.extra_info["integrity"] = _integrity_status()
-    benchmark.extra_info["scenarios"] = _scenario_status()
+    for gate in GATE_PROBES:
+        benchmark.extra_info[gate] = _gate_status(gate)
+    benchmark.extra_info["audit"] = _audit_status()
     benchmark.extra_info["schedule_hash"] = combined_digest(tracers)
     benchmark.extra_info["schedule_events"] = sum(t.steps for t in tracers)
     return result

@@ -8,7 +8,7 @@ the :class:`~repro.chaos.engine.ChaosEngine` schedules it against a running
 job, deterministically from the plan's seed.  :mod:`repro.chaos.experiment`
 is the fault-experiment engine every gate shares (job builder, run
 primitive, failure-free baseline, verdict function); :mod:`repro.chaos.soak`
-feeds it randomised plans.
+feeds it randomised plans, one seed per run.
 :mod:`repro.chaos.poison` quarantines records that deterministically crash
 their operator on every incarnation.  The named production incidents built
 from these primitives live in :mod:`repro.scenarios`.
@@ -24,7 +24,7 @@ from repro.chaos.plan import (
 )
 from repro.chaos.poison import PoisonRegistry
 from repro.chaos.experiment import FaultResult, grade, run_experiment
-from repro.chaos.soak import chaos_soak
+from repro.chaos.soak import run_chaos_experiment
 
 __all__ = [
     "FAULT_KINDS",
@@ -38,5 +38,5 @@ __all__ = [
     "FaultResult",
     "run_experiment",
     "grade",
-    "chaos_soak",
+    "run_chaos_experiment",
 ]

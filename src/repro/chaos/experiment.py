@@ -161,6 +161,8 @@ class Observation:
     #: Origins the poison registry quarantined (announced loss).
     quarantined: FrozenSet[Origin] = frozenset()
     duration: float = 0.0
+    #: The chaos engine's closing summary (empty for a run without faults).
+    chaos: Dict[str, object] = field(default_factory=dict)
     jm: Optional[JobManager] = field(default=None, repr=False)
     engine: Optional[ChaosEngine] = field(default=None, repr=False)
 
@@ -169,9 +171,9 @@ class Observation:
         return [e for e in self.recovery_events if e[1] in DEGRADATION_MARKERS]
 
     def release(self) -> None:
-        """Drop the simulated cluster once the ride-along checks have read
-        it, so a suite of many runs does not keep every job's state alive."""
-        self.jm = self.engine = None
+        """Drop the cluster and the per-record origins once the verdict and
+        the ride-along checks have read them: a suite keeps what it reports."""
+        self.jm = self.engine = self.projection = self.expected = None
 
 
 def run_experiment(
@@ -203,6 +205,7 @@ def run_experiment(
         kills_landed=len(result.failures),
         quarantined=frozenset(ident for _task, ident in jm.poison.quarantine_log),
         duration=result.duration,
+        chaos=result.engine.summary() if result.engine is not None else {},
         jm=jm,
         engine=result.engine,
     )
@@ -227,7 +230,8 @@ class FaultResult:
 
     @property
     def delivered(self) -> int:
-        return sum(self.obs.projection.values())
+        """Sink records: present expected origins, surplus copies, aliens."""
+        return self.expected - self.missing + self.duplicated + self.extra
 
 
 def grade(

@@ -5,12 +5,13 @@ One schedule generator over the fault-experiment engine
 seed draws a :func:`~repro.chaos.plan.random_plan` against the deployed
 job's real task and link names.  The seed fully determines both the plan
 and the job, so a violating seed reruns identically under
-``repro chaos --seed N``.
+``repro gates --only chaos --case N --verbose``; the ``chaos`` entry of
+:data:`repro.harness.gates.GATES` declares the seeds CI runs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.chaos.experiment import (
     FaultResult,
@@ -47,24 +48,14 @@ def random_faults(
     return plan
 
 
-def chaos_soak(
-    seeds: Iterable[int],
-    max_faults: int = 4,
-    n_records: int = 1200,
-    limit: float = 120.0,
-) -> List[FaultResult]:
-    """Run one chaotic experiment per seed; returns the graded results."""
+def run_chaos_experiment(
+    seed: int, max_faults: int = 4, n_records: int = 1200, limit: float = 120.0
+) -> FaultResult:
+    """One chaotic experiment: ``seed``'s random plan against the soak job,
+    graded, with the simulated cluster released."""
     job = SoakJob(n_records=n_records)
-    window = n_records / job.rate + 0.5
-    return [
-        grade(
-            seed,
-            run_experiment(
-                job,
-                random_faults(seed, window, max_faults),
-                fast_chaos_config(seed=seed),
-                limit,
-            ),
-        )
-        for seed in seeds
-    ]
+    faults = random_faults(seed, n_records / job.rate + 0.5, max_faults)
+    obs = run_experiment(job, faults, fast_chaos_config(seed=seed), limit)
+    result = grade(seed, obs)
+    obs.release()
+    return result

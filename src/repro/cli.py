@@ -7,10 +7,8 @@
     python -m repro lint [all | q5 | examples | path/to/file.py ...] [--strict]
     python -m repro verify-static [--json] [--bench BENCH_static.json] [DIR ...]
     python -m repro sanitize [all | quickstart | q3 ...]
-    python -m repro chaos [--seeds 0:20 | --seed 9] [--max-faults 4]
-    python -m repro audit [--inject K] [--soak | --seeds 0:8]
-    python -m repro transparency [--topologies pair-p1,...] [--json PATH]
-    python -m repro scenarios [--list | --only NAMES] [--json PATH]
+    python -m repro gates [--only GATES] [--case LABELS] [--seeds 0:16] [--json PATH]
+    python -m repro audit [--inject K] [--seed N]
 
 ``figures`` runs each selected figure of Section 7 at the parameters
 ``repro.harness.figures`` declares for it and prints its tables and series;
@@ -30,13 +28,14 @@ incident's per-phase breakdown and checks the phase invariants (see README,
 golden determinism digests (see ``repro.bench``); ``profile`` runs one suite
 under the sim-aware profiler and prints its wall-clock hot spots.
 
-``chaos``, ``audit --soak``, ``transparency`` and ``scenarios`` are four
+``gates`` runs the fault gates ``repro.harness.gates.GATES`` declares
+(``chaos``, ``integrity``, ``transparency``, ``scenarios``): four
 fault-schedule sources over one fault-experiment engine
-(``repro.chaos.experiment``): random fault plans, corruption plans, every
-enumerated failure point on small topologies, and the named production
-incident pack.  Each run is graded on one vocabulary — ``transparent``,
-``announced-degradation``, ``violation:<why>``, ``skipped:<why>`` — and
-reported by one table/tally helper (see README, "Fault experiments").
+(``repro.chaos.experiment``).  ``--case`` keeps the cases whose label is an
+entry or starts with ``entry/`` (a seed, a topology, a scenario name).  Each
+run is graded on one vocabulary — ``transparent``, ``announced-degradation``,
+``violation:<why>``, ``skipped:<why>`` — and reported by one table/tally
+helper (see README, "Fault experiments").
 
 Exit codes, for every verb: 0 clean, 1 findings (any ``violation:*``,
 failed scenario or trace check, lint finding, golden drift), 2 usage or
@@ -54,6 +53,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.errors import ReproError
+from repro.harness import gates
 from repro.harness.figures import FIGURES, fig6_single_failure
 from repro.harness.reporters import render_table
 
@@ -434,18 +434,11 @@ def _cmd_sanitize(args) -> int:
 
 
 # -- fault experiments --------------------------------------------------------
-#
-# chaos, audit --soak, transparency and scenarios are argument -> schedule
-# source adapters over one engine (repro.chaos.experiment) and one reporter.
 
 
-def _seeds(args, default: Optional[str] = None) -> List[int]:
-    """``--seed N``, else ``--seeds lo:hi`` or a comma list (``default``
-    when the parser leaves ``--seeds`` unset).  An empty selection is a usage
+def _seeds(raw: str) -> List[int]:
+    """``--seeds lo:hi`` or a comma list.  An empty selection is a usage
     error: a gate that ran nothing must not be green."""
-    if args.seed is not None:
-        return [args.seed]
-    raw = args.seeds if args.seeds is not None else default
     try:
         if ":" in raw:
             lo, hi = raw.split(":", 1)
@@ -461,111 +454,28 @@ def _seeds(args, default: Optional[str] = None) -> List[int]:
     return seeds
 
 
-def _report(title, columns, rows, results, verbose, json_path=None, payload=None) -> int:
-    """The one reporter behind the fault verbs: per-failure detail (every
-    run with ``verbose``), the table, the tally line over the shared verdict
-    vocabulary, the optional JSON artifact, and the exit code."""
-    import json
-
-    from repro.metrics.collectors import recovery_summary
-
-    if not results:
-        raise _UsageError("the selection runs nothing (0 runs)")
-    for r in results:
-        if verbose or not r.ok:
-            print(
-                f"--- {r.label}: {r.outcome} (lost={r.missing} "
-                f"dup={r.duplicated} dur={r.obs.duration:.2f}s)"
-            )
-            if r.detail:
-                print(f"    {r.detail}")
-            for when, kind, who in r.obs.recovery_events:
-                if not kind.startswith("suspected"):
-                    print(f"    t={when:.4f} {kind} {who}")
-            print("   ", recovery_summary(r.obs.recovery_events))
-    print(title)
-    print(render_table(columns, rows))
-    outcomes = [r.outcome for r in results]
-    failed = [r.label for r in results if not r.ok]
-    print(
-        f"\n{len(results)} runs: {outcomes.count('transparent')} transparent, "
-        f"{outcomes.count('announced-degradation')} announced-degradation, "
-        f"{sum(o.startswith('skipped') for o in outcomes)} skipped, "
-        f"{len(failed)} violations"
-        + (f" ({', '.join(failed)})" if failed else "")
+def _cmd_gates(args) -> int:
+    selected = gates.select(
+        _names(args.only, "--only") if args.only is not None else None,
+        _names(args.case, "--case") if args.case is not None else None,
+        _seeds(args.seeds) if args.seeds is not None else None,
     )
-    if json_path:
-        Path(json_path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {json_path}")
-    return 1 if failed else 0
-
-
-def _cmd_chaos(args) -> int:
-    from repro.chaos import chaos_soak
-
-    results = chaos_soak(
-        _seeds(args),
-        max_faults=args.max_faults,
-        n_records=args.events,
-        limit=args.limit,
-    )
-    rows = []
-    for r in results:
-        chaos = r.obs.engine.summary()
-        rows.append(
-            (r.label, r.outcome, f"{r.obs.duration:.2f}s",
-             ",".join(chaos["kinds"]) or "-", r.missing, r.duplicated,
-             chaos["control_plane_drops"])
-        )
-    return _report(
-        "chaos soak: randomised fault plans vs the recovery protocol",
-        ["seed", "verdict", "dur", "faults", "lost", "dup", "rpc drops"],
-        rows,
-        results,
-        args.verbose,
-    )
-
-
-def _cmd_scenarios(args) -> int:
-    from repro.metrics.collectors import scenario_summary
-    from repro.scenarios import SCENARIOS, run_pack
-
+    if args.json is not None and (
+        len(selected) != 1 or gates.GATES[next(iter(selected))].payload is None
+    ):
+        raise _UsageError("--json needs exactly one of transparency, scenarios")
     if args.list:
-        for scenario in SCENARIOS:
-            print(f"{scenario.name:28s} {scenario.description}")
+        for name, cases in selected.items():
+            for label, _run in cases:
+                print(f"{name:12s} {label}")
         return 0
-
-    only = _names(args.only, "--only") if args.only is not None else None
-    results = run_pack(SCENARIOS, only=only, seed=args.seed)
-    rows = [
-        (
-            r.name,
-            r.outcome,
-            f"{r.obs.duration:.2f}s",
-            f"{r.duration_overhead:.2f}x",
-            r.missing,
-            r.duplicated,
-            len(r.obs.degradations),
-            "-" if r.recovery_time is None else f"{r.recovery_time:.3f}s",
-            ",".join(n for n, status in r.checks.items() if status != "ok") or "-",
-        )
-        for r in results
-    ]
-    return _report(
-        "scenario pack: named production incidents vs their verdicts",
-        ["scenario", "verdict", "dur", "overhead", "lost", "dup",
-         "degr", "recovery", "failed checks"],
-        rows,
-        results,
-        args.verbose,
-        args.json,
-        {
-            "summary": scenario_summary(results),
-            "scenarios": [r.to_dict() for r in results],
-        },
-    )
+    code = 0
+    for index, (name, cases) in enumerate(selected.items()):
+        if index:
+            print()
+        results = [run() for _label, run in cases]
+        code = max(code, gates.report(name, results, args.verbose, args.json))
+    return code
 
 
 def _cmd_audit(args) -> int:
@@ -575,25 +485,10 @@ def _cmd_audit(args) -> int:
     from repro.integrity.corruption import random_corruptions
     from repro.sim.rng import derive_seed
 
-    if args.soak or args.seeds is not None:
-        from repro.integrity.soak import integrity_soak
-
-        results = integrity_soak(_seeds(args, "0:8"), n_records=args.events)
-        return _report(
-            "integrity soak: corruption fault plans vs the validation layer",
-            ["seed", "verdict", "injected", "flagged in run", "flagged by audit"],
-            [
-                (r.label, r.outcome, r.corruptions_injected,
-                 r.integrity_summary.get("total_failed", 0), len(r.audit.violations))
-                for r in results
-            ],
-            results,
-            verbose=False,
-        )
-    jm = audit_run(args.seed or 0, args.events)
+    jm = audit_run(args.seed)
     injected = []
     if args.inject:
-        rng = random_module.Random(derive_seed(args.seed or 0, "audit-inject"))
+        rng = random_module.Random(derive_seed(args.seed, "audit-inject"))
         injected = random_corruptions(jm, args.inject, rng)
         for kind, detail in injected:
             print(f"injected: {kind} {detail}")
@@ -613,44 +508,6 @@ def _cmd_audit(args) -> int:
         )
         return 0 if injected and not missed else 1
     return 0 if report.ok else 1
-
-
-def _cmd_transparency(args) -> int:
-    from repro.transparency import (
-        default_topologies,
-        run_transparency_suite,
-        suite_payload,
-    )
-
-    topologies = default_topologies()
-    if args.topologies is not None:
-        wanted = set(_names(args.topologies, "--topologies"))
-        known = {t.name for t in topologies}
-        if wanted - known:
-            raise _UsageError(
-                f"unknown topologies: {', '.join(sorted(wanted - known))} "
-                f"(known: {', '.join(sorted(known))})"
-            )
-        topologies = [t for t in topologies if t.name in wanted]
-    reports = run_transparency_suite(
-        topologies,
-        boundaries=args.boundaries,
-        compound=not args.no_compound,
-        limit=args.limit,
-    )
-    return _report(
-        "failure transparency: exhaustive failure-point exploration",
-        ["topology", "ops", "tasks", "cases", "transparent",
-         "announced", "skipped", "violations"],
-        [
-            (r.topo.name, r.topo.operators, len(r.baseline.tasks), *r.tally().values())
-            for r in reports
-        ],
-        [case for r in reports for case in r.cases],
-        args.verbose,
-        args.json,
-        suite_payload(reports),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -746,80 +603,32 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the per-event trace (hash comparison only)")
     ps.set_defaults(fn=_cmd_sanitize)
 
-    pc = sub.add_parser(
-        "chaos", help="seeded chaos soak: random fault plans vs recovery"
-    )
-    pc.add_argument("--seeds", default="0:10",
-                    help="range lo:hi or comma list (default 0:10)")
-    pc.add_argument("--seed", type=int, default=None,
-                    help="run exactly one seed (overrides --seeds)")
-    pc.add_argument("--max-faults", type=int, default=4, dest="max_faults")
-    pc.add_argument("--events", type=int, default=1200,
-                    help="records per source partition")
-    pc.add_argument("--limit", type=float, default=120.0,
-                    help="simulated-seconds deadline per run")
-    pc.add_argument("--verbose", action="store_true",
+    pg = sub.add_parser("gates", help="the fault gates, on one verdict vocabulary")
+    pg.add_argument("--only", default=None, metavar="GATES",
+                    help="comma list of " + ", ".join(gates.GATES) + " (default: all)")
+    pg.add_argument("--case", default=None, metavar="LABELS",
+                    help="comma list of case labels, or their prefixes before a '/'")
+    pg.add_argument("--seeds", default=None, metavar="SEEDS",
+                    help="lo:hi or a comma list replacing every gate's seeds")
+    pg.add_argument("--json", default=None, metavar="PATH",
+                    help="write the one selected gate's payload")
+    pg.add_argument("--verbose", action="store_true",
                     help="print every run's recovery events")
-    pc.set_defaults(fn=_cmd_chaos)
+    pg.add_argument("--list", action="store_true",
+                    help="list the selected case labels and exit")
+    pg.set_defaults(fn=_cmd_gates)
 
     pa = sub.add_parser(
         "audit",
         help="sweep every stored artifact (checkpoints, logs, standby "
              "images) and verify its fingerprint",
     )
-    pa.add_argument("--seed", type=int, default=None,
-                    help="workload/injection seed (default 0); with --soak, "
-                         "run exactly one soak seed")
+    pa.add_argument("--seed", type=int, default=0,
+                    help="workload/injection seed (default 0)")
     pa.add_argument("--inject", type=int, default=0, metavar="K",
                     help="self-test: corrupt K artifacts mid-flight and "
                          "require the sweep to flag every one")
-    pa.add_argument("--soak", action="store_true",
-                    help="run the corruption-chaos soak instead of a single "
-                         "sweep (validated recovery + closing audit per seed)")
-    pa.add_argument("--seeds", default=None,
-                    help="soak seed range lo:hi or comma list (implies --soak; "
-                         "default 0:8)")
-    pa.add_argument("--events", type=int, default=1200,
-                    help="records per source partition")
     pa.set_defaults(fn=_cmd_audit)
-
-    pf = sub.add_parser(
-        "transparency",
-        help="exhaustive failure-point exploration: assert observational "
-             "equivalence of recovered output on small topologies",
-    )
-    pf.add_argument("--topologies", default=None,
-                    help="comma list restricting the default topology set "
-                         "(pair-p1, chain3-p1, chain4-p1, chain3-p2)")
-    pf.add_argument("--boundaries", type=int, default=2,
-                    help="epoch boundaries probed per task (default 2)")
-    pf.add_argument("--no-compound", action="store_true", dest="no_compound",
-                    help="skip the compound (overlapping-recovery) kill pairs")
-    pf.add_argument("--limit", type=float, default=60.0,
-                    help="simulated-seconds deadline per case")
-    pf.add_argument("--json", default=None, metavar="PATH",
-                    help="write the suite payload (BENCH_transparency.json)")
-    pf.add_argument("--verbose", action="store_true",
-                    help="print every case, not just violations")
-    pf.set_defaults(fn=_cmd_transparency)
-
-    psc = sub.add_parser(
-        "scenarios",
-        help="production incident scenario pack: named fault schedules "
-             "with per-scenario machine-checked verdicts",
-    )
-    psc.add_argument("--list", action="store_true",
-                     help="list the named scenarios and exit")
-    psc.add_argument("--only", default=None, metavar="NAMES",
-                     help="comma list of scenario names to run")
-    psc.add_argument("--seed", type=int, default=None,
-                     help="override every scenario's seed (default: "
-                          "each scenario's own)")
-    psc.add_argument("--json", default=None, metavar="PATH",
-                     help="write the pack payload (BENCH_scenarios.json)")
-    psc.add_argument("--verbose", action="store_true",
-                     help="print per-check status and recovery events")
-    psc.set_defaults(fn=_cmd_scenarios)
     return parser
 
 

@@ -19,7 +19,7 @@ catches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict
 
 from repro.chaos.experiment import (
     FaultResult,
@@ -32,7 +32,7 @@ from repro.chaos.plan import CORRUPTION_KINDS
 from repro.chaos.soak import random_faults
 from repro.integrity.audit import AuditReport, audit_job
 
-__all__ = ["IntegrityRunResult", "run_integrity_experiment", "integrity_soak"]
+__all__ = ["IntegrityRunResult", "run_integrity_experiment"]
 
 
 @dataclass
@@ -40,13 +40,9 @@ class IntegrityRunResult(FaultResult):
     """A graded corruption run plus its ride-along checks: the validation
     ledger and the closing full-sweep audit."""
 
+    corruptions_injected: int
     integrity_summary: Dict[str, object]
     audit: AuditReport = field(repr=False)
-
-    @property
-    def corruptions_injected(self) -> int:
-        applied = self.obs.engine.applied
-        return sum(1 for (_t, kind, _x) in applied if kind in CORRUPTION_KINDS)
 
     @property
     def detected(self) -> int:
@@ -77,18 +73,14 @@ def run_integrity_experiment(
     faults = random_faults(
         seed, n_records / job.rate + 0.5, max_faults, kinds=sorted(CORRUPTION_KINDS)
     )
-    result = grade(seed, run_experiment(job, faults, config, limit))
-    jm = result.obs.jm
-    return IntegrityRunResult(
-        **vars(result),
-        integrity_summary=jm.integrity.summary(),
-        audit=audit_job(jm),
+    obs = run_experiment(job, faults, config, limit)
+    result = IntegrityRunResult(
+        **vars(grade(seed, obs)),
+        corruptions_injected=sum(
+            1 for (_t, kind, _x) in obs.engine.applied if kind in CORRUPTION_KINDS
+        ),
+        integrity_summary=obs.jm.integrity.summary(),
+        audit=audit_job(obs.jm),
     )
-
-
-def integrity_soak(
-    seeds: Iterable[int], n_records: int = 1200
-) -> List[IntegrityRunResult]:
-    """One corruption experiment per seed (each seed fully determines the
-    plan and the job, so any failure replays under the same seed)."""
-    return [run_integrity_experiment(seed, n_records=n_records) for seed in seeds]
+    obs.release()
+    return result

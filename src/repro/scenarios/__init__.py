@@ -5,7 +5,8 @@ schedules (built from :class:`~repro.chaos.plan.FaultSpec` primitives),
 workload shaping (input bursts, hot-key skew), and an explicit, machine-
 checkable verdict spec.  The runner executes a scenario against the
 synthetic nondeterministic chain and grades the run; the library holds the
-named production incidents the CI matrix executes (``repro scenarios``).
+named production incidents the CI matrix executes (``repro gates --only
+scenarios``).
 """
 
 from repro.scenarios.model import (
@@ -15,7 +16,7 @@ from repro.scenarios.model import (
     VerdictSpec,
     WorkloadSpec,
 )
-from repro.scenarios.runner import ScenarioResult, run_pack, run_scenario
+from repro.scenarios.runner import ScenarioResult, run_scenario
 from repro.scenarios.library import SCENARIOS, scenario_by_name
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "VerdictSpec",
     "WorkloadSpec",
     "ScenarioResult",
-    "run_pack",
     "run_scenario",
     "SCENARIOS",
     "scenario_by_name",

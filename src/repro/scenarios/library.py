@@ -12,7 +12,7 @@ documented per scenario in DESIGN.md §9 and summarized in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.errors import ScenarioError
 from repro.scenarios.model import (
@@ -330,13 +330,3 @@ def scenario_by_name(name: str) -> Scenario:
             return scenario
     raise ScenarioError(f"unknown scenario {name!r}")
 
-
-def pack_summary(results) -> Dict[str, object]:
-    """Aggregate verdict of one pack run (benchmark extra_info friendly)."""
-    failed = [r.name for r in results if not r.ok]
-    return {
-        "scenarios": len(results),
-        "passed": sum(1 for r in results if r.ok),
-        "failed": sorted(failed),
-        "verdict": "ok" if not failed else "fail",
-    }

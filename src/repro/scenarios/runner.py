@@ -8,7 +8,7 @@ scenario-specific: the failure-free baseline's duration anchors the
 overhead figure, a recovery-time budget, the watchdog's stall verdict, and a
 deterministic transcript digest — the same scenario + seed reproduces the
 same transcript byte for byte, so a failing scenario replays exactly under
-``repro scenarios --only <name>``.
+``repro gates --only scenarios --case <name> --verbose``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.chaos.experiment import (
     grade,
     run_experiment,
 )
-from repro.errors import ScenarioError
 from repro.metrics.collectors import stall_summary
 from repro.scenarios.model import Scenario
 
@@ -41,7 +40,6 @@ class ScenarioResult(FaultResult):
     baseline_duration: float
     recovery_time: Optional[float]
     transcript_digest: str
-    chaos_summary: Dict[str, object]
 
     @property
     def name(self) -> str:
@@ -81,7 +79,7 @@ class ScenarioResult(FaultResult):
             if self.recovery_time is None
             else round(self.recovery_time, 6),
             "transcript_digest": self.transcript_digest,
-            "chaos": dict(self.chaos_summary),
+            "chaos": dict(self.obs.chaos),
         }
 
 
@@ -164,7 +162,12 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> ScenarioResu
             else f"fail: {stall['stalls_detected']} stalls detected"
         )
     failed = [f"{name}: {status}" for name, status in checks.items() if status != "ok"]
-    engine = obs.engine
+    digest = _transcript_digest(
+        run_seed,
+        obs.recovery_events,
+        obs.engine.applied + obs.engine.skipped,
+        obs.projection,
+    )
     obs.release()
     return ScenarioResult(
         **{**vars(result), "detail": "; ".join(failed)},
@@ -172,27 +175,5 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> ScenarioResu
         seed=run_seed,
         baseline_duration=reference.duration,
         recovery_time=max((s for _w, s in spans), default=None),
-        transcript_digest=_transcript_digest(
-            run_seed,
-            obs.recovery_events,
-            engine.applied + engine.skipped,
-            obs.projection,
-        ),
-        chaos_summary=engine.summary(),
+        transcript_digest=digest,
     )
-
-
-def run_pack(
-    scenarios: Sequence[Scenario],
-    only: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-) -> List[ScenarioResult]:
-    """Run a list of scenarios (optionally filtered by name)."""
-    selected = list(scenarios)
-    if only:
-        wanted = set(only)
-        unknown = wanted - {s.name for s in scenarios}
-        if unknown:
-            raise ScenarioError(f"unknown scenario(s): {sorted(unknown)}")
-        selected = [s for s in selected if s.name in wanted]
-    return [run_scenario(s, seed=seed) for s in selected]

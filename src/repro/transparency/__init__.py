@@ -24,8 +24,6 @@ from repro.transparency.explorer import (
     TransparencyReport,
     default_topologies,
     enumerate_failure_points,
-    explore_topology,
-    run_transparency_suite,
     suite_payload,
 )
 
@@ -35,7 +33,5 @@ __all__ = [
     "TransparencyReport",
     "default_topologies",
     "enumerate_failure_points",
-    "explore_topology",
-    "run_transparency_suite",
     "suite_payload",
 ]

@@ -25,8 +25,8 @@ violating case replays identically from its printed label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.chaos.experiment import (
     IN_TOPIC,
@@ -121,10 +121,10 @@ class TransparencyReport:
 
     topo: Topology
     baseline: Baseline
-    cases: List[FaultResult] = field(default_factory=list)
+    cases: List[FaultResult]
     #: case label (``topology/point``) -> its kill schedule, so a violating
     #: case replays from the payload alone
-    points: Dict[str, FailurePoint] = field(default_factory=dict)
+    points: Dict[str, FailurePoint]
 
     def tally(self) -> Dict[str, int]:
         """Case counts per outcome class, keyed as the JSON payload is."""
@@ -197,37 +197,36 @@ def run_case(topo: Topology, point: FailurePoint, limit: float = 60.0) -> FaultR
 
     config = fast_chaos_config(seed=SEED, checkpoint_interval=CHECKPOINT_INTERVAL)
     obs = run_experiment(topo.job, schedule_kills, config, limit)
+    result = grade(f"{topo.name}/{point.label}", obs, kills_planned=len(point.kills))
     obs.release()
-    return grade(f"{topo.name}/{point.label}", obs, kills_planned=len(point.kills))
+    return result
 
 
-def explore_topology(
-    topo: Topology,
-    boundaries: int = 2,
-    compound: bool = True,
-    limit: float = 60.0,
-) -> TransparencyReport:
-    """Baseline + the full failure-point matrix for one topology."""
-    reference = baseline(topo.job, SEED, CHECKPOINT_INTERVAL, limit)
-    report = TransparencyReport(topo, reference)
-    for point in enumerate_failure_points(reference, boundaries, compound):
-        case = run_case(topo, point, limit=limit)
-        report.points[case.label] = point
-        report.cases.append(case)
-    return report
+def failure_points(
+    topo: Topology, boundaries: int = 2, compound: bool = True
+) -> Dict[str, FailurePoint]:
+    """Case label (``topology/point``) -> failure point, for every case the
+    suite runs on ``topo`` (enumerated from its cached baseline)."""
+    reference = baseline(topo.job, SEED, CHECKPOINT_INTERVAL)
+    return {
+        f"{topo.name}/{point.label}": point
+        for point in enumerate_failure_points(reference, boundaries, compound)
+    }
 
 
-def run_transparency_suite(
-    topologies: Optional[Sequence[Topology]] = None,
-    boundaries: int = 2,
-    compound: bool = True,
-    limit: float = 60.0,
-) -> List[TransparencyReport]:
-    """The whole suite: every topology's exhaustive matrix."""
-    return [
-        explore_topology(topo, boundaries, compound, limit)
-        for topo in (topologies if topologies is not None else default_topologies())
-    ]
+def reports_of(cases: Sequence[FaultResult]) -> List[TransparencyReport]:
+    """Group graded cases of the default topologies (labelled
+    ``topology/point``) into one report per topology, in
+    :func:`default_topologies` order."""
+    reports = []
+    for topo in default_topologies():
+        mine = [c for c in cases if c.label.startswith(topo.name + "/")]
+        if mine:
+            reference = baseline(topo.job, SEED, CHECKPOINT_INTERVAL)
+            points = failure_points(topo)
+            kills = {c.label: points[c.label] for c in mine}
+            reports.append(TransparencyReport(topo, reference, mine, kills))
+    return reports
 
 
 def suite_payload(reports: Iterable[TransparencyReport]) -> dict:

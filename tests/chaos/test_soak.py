@@ -11,7 +11,7 @@ reports as a failure with the offending seed).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import FaultPlan, chaos_soak
+from repro.chaos import FaultPlan, run_chaos_experiment
 from repro.chaos.experiment import (
     DEGRADATION_MARKERS,
     SoakJob,
@@ -24,7 +24,7 @@ LIMIT = 120.0
 
 
 def describe(result):
-    chaos = result.obs.engine.summary()
+    chaos = result.obs.chaos
     return (
         f"seed {result.label}: outcome={result.outcome} ({result.detail}) "
         f"missing={result.missing} duplicated={result.duplicated} "
@@ -38,7 +38,7 @@ def describe(result):
 )
 @settings(max_examples=10, deadline=None)
 def test_random_fault_schedules_never_violate(seed, max_faults):
-    [result] = chaos_soak([seed], max_faults=max_faults, limit=LIMIT)
+    result = run_chaos_experiment(seed, max_faults=max_faults, limit=LIMIT)
     assert result.ok, describe(result)
     assert result.obs.duration < LIMIT
     if result.outcome != "transparent":

@@ -15,9 +15,11 @@ seeds keep stress-testing the recovery path without slowing PR CI.
 
 import os
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.experiment import Observation
 from repro.chaos.plan import CORRUPTION_KINDS, random_plan
 from repro.integrity.soak import run_integrity_experiment
 from repro.runtime.task import TaskStatus
@@ -31,6 +33,13 @@ SOAK_EXAMPLES = int(os.environ.get("REPRO_SOAK_EXAMPLES", "8"))
 #: restores: with validation off the run silently loses records (the control
 #: violation); with validation on the ladder falls back to an older epoch.
 CONTROL_SEED = 5
+
+
+@pytest.fixture
+def kept_cluster(monkeypatch):
+    """Keep each run's simulated cluster for inspection (a gate run
+    releases it once the verdict and the closing audit have read it)."""
+    monkeypatch.setattr(Observation, "release", lambda self: None)
 
 
 def describe(result):
@@ -59,7 +68,7 @@ def test_corruption_is_detected_or_announced_never_silent(seed):
 # instead of waiting for Hypothesis to resample them.
 
 
-def test_seed_1655_regression_silent_loss_mode():
+def test_seed_1655_regression_silent_loss_mode(kept_cluster):
     """Loss mode: a single ``task_kill src[0]`` under this seed's timing
     used to silently drop a 41-record tail.
 
@@ -95,7 +104,7 @@ def test_seed_1655_regression_silent_loss_mode():
             )
 
 
-def test_seed_64853_regression_recovery_hang_mode():
+def test_seed_64853_regression_recovery_hang_mode(kept_cluster):
     """Hang mode: recovery never converged and the run died on the 120 s
     ``run_until_done`` deadline.
 

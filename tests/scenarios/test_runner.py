@@ -1,8 +1,5 @@
 """The scenario runner: verdict grading, determinism, passivity."""
 
-import pytest
-
-from repro.errors import ScenarioError
 from repro.metrics.collectors import scenario_summary
 from repro.scenarios import (
     FaultEntry,
@@ -10,10 +7,8 @@ from repro.scenarios import (
     Scenario,
     VerdictSpec,
     WorkloadSpec,
-    run_pack,
     run_scenario,
 )
-from repro.scenarios.library import pack_summary
 
 #: A small, fast incident: one mid-pipeline kill over a short workload.
 SMALL = Scenario(
@@ -73,13 +68,6 @@ def test_impossible_recovery_budget_fails_the_verdict():
     assert result.checks["output"] == "ok"  # still exactly-once
 
 
-def test_run_pack_filters_and_rejects_unknown():
-    results = run_pack([SMALL], only=["small-kill"])
-    assert [r.name for r in results] == ["small-kill"]
-    with pytest.raises(ScenarioError, match="unknown scenario"):
-        run_pack([SMALL], only=["nope"])
-
-
 def test_result_dict_shape():
     result = run_scenario(SMALL)
     data = result.to_dict()
@@ -96,7 +84,6 @@ def test_result_dict_shape():
 
 def test_summaries_agree():
     results = [run_scenario(SMALL)]
-    assert pack_summary(results)["verdict"] == "ok"
     summary = scenario_summary(results)
     assert summary["verdict"] == "ok"
     assert summary["passed"] == summary["scenarios"] == 1

@@ -1,6 +1,7 @@
 """Tests for the experiment CLI."""
 
 import argparse
+from functools import partial
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.cli import build_parser, main
 
 VERBS = {
     "figures", "trace", "bench", "profile", "lint", "verify-static", "sanitize",
-    "chaos", "audit", "transparency", "scenarios",
+    "gates", "audit",
 }
 
 
@@ -53,13 +54,13 @@ def test_figure6_kill_after_the_input_ends_exits_2(capsys):
 
 
 def test_unexpected_error_in_a_verb_exits_2_with_traceback(capsys, monkeypatch):
-    import repro.chaos
+    from repro.harness import gates
 
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(repro.chaos, "chaos_soak", broken)
-    assert main(["chaos", "--seed", "1"]) == 2
+    monkeypatch.setattr(gates, "run_chaos_experiment", broken)
+    assert main(["gates", "--only", "chaos", "--case", "1"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
 
@@ -69,34 +70,42 @@ def test_requires_subcommand():
         main([])
 
 
-# -- the four fault verbs: one reporter, one exit-code convention ------------
+# -- the fault gates: one reporter, one exit-code convention -----------------
 
 TALLY = "transparent, {} announced-degradation, {} skipped, {} violations"
 
 
 def test_chaos_one_seed(capsys):
-    assert main(["chaos", "--seed", "3", "--events", "300"]) == 0
+    assert main(["gates", "--only", "chaos", "--case", "3"]) == 0
     out = capsys.readouterr().out
     assert "seed  verdict" in out and "rpc drops" in out
     assert "\n1 runs: 1 " + TALLY.format(0, 0, 0) in out
 
 
-def test_chaos_hang_is_a_violation_row_not_a_traceback(capsys):
+def test_chaos_hang_is_a_violation_row_not_a_traceback(capsys, monkeypatch):
     # Every seed misses the 0.1 s deadline: each is one violation row, the
     # later seeds still run, and the table and tally still print.
-    assert main(["chaos", "--seeds", "0:3", "--events", "300", "--limit", "0.1"]) == 1
+    from repro.harness import gates
+
+    monkeypatch.setattr(
+        gates,
+        "run_chaos_experiment",
+        partial(gates.run_chaos_experiment, n_records=300, limit=0.1),
+    )
+    assert main(["gates", "--only", "chaos", "--seeds", "0:3"]) == 1
     out = capsys.readouterr().out
     assert out.count("violation:recovery-stalled") >= 3
     assert "\n3 runs: 0 " + TALLY.format(0, 0, 3) + " (0, 1, 2)" in out
 
 
 def test_audit_self_test_flags_every_injection(capsys):
-    assert main(["audit", "--inject", "4", "--seed", "1", "--events", "600"]) == 0
+    assert main(["audit", "--inject", "4", "--seed", "1"]) == 0
     assert "audit self-test: injected=4 detected=4" in capsys.readouterr().out
 
 
 def test_audit_soak_one_seed(capsys):
-    assert main(["audit", "--soak", "--seed", "3", "--events", "600"]) == 0
+    # The integrity gate is the corruption soak the audit sweep rides along.
+    assert main(["gates", "--only", "integrity", "--case", "3"]) == 0
     out = capsys.readouterr().out
     assert "flagged in run  flagged by audit" in out
     assert "\n1 runs: " in out and "0 violations" in out
@@ -106,7 +115,8 @@ def test_transparency_payload_keys(capsys, tmp_path):
     import json
 
     path = tmp_path / "BENCH_transparency.json"
-    assert main(["transparency", "--topologies", "pair-p1", "--json", str(path)]) == 0
+    argv = ["gates", "--only", "transparency", "--case", "pair-p1", "--json", str(path)]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert "topology  ops  tasks  cases  transparent" in out
     assert "\n9 runs: 9 " + TALLY.format(0, 0, 0) in out
@@ -127,7 +137,8 @@ def test_scenarios_payload_keys(capsys, tmp_path):
     import json
 
     path = tmp_path / "BENCH_scenarios.json"
-    argv = ["scenarios", "--only", "crashloop,poison_pill", "--json", str(path)]
+    argv = ["gates", "--only", "scenarios", "--case", "crashloop,poison_pill",
+            "--json", str(path)]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "scenario" in out and "failed checks" in out
@@ -149,23 +160,39 @@ def test_scenarios_payload_keys(capsys, tmp_path):
         assert entry["verdict"] == "pass"
 
 
+def test_gates_list_prints_labels_and_runs_nothing(capsys):
+    assert main(["gates", "--only", "chaos,scenarios", "--seeds", "4,9", "--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["chaos        4", "chaos        9"]
+    assert "scenarios    zone_failover" in lines
+    assert len(lines) == 2 + 2 * 12  # every scenario under each seed
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         # A gate that selects nothing must not be green.
-        (["chaos", "--seeds", "5:2"], "selects no seeds"),
-        (["audit", "--soak", "--seeds", "3:3"], "selects no seeds"),
-        (["chaos", "--seeds", "abc"], "malformed --seeds"),
-        (["audit", "--seeds", "1,x"], "malformed --seeds"),
-        (["scenarios", "--only", " , "], "names nothing"),
-        (["transparency", "--topologies", ","], "names nothing"),
-        (["scenarios", "--only", "nope"], "unknown scenario"),
-        (["transparency", "--topologies", "nope"], "unknown topologies"),
-        (["transparency", "--topologies", "pair-p1", "--boundaries", "0",
-          "--no-compound"], "runs nothing"),
+        (["gates", "--only", "chaos", "--seeds", "5:2"], "selects no seeds"),
+        (["gates", "--only", "integrity", "--seeds", "3:3"], "selects no seeds"),
+        (["gates", "--only", "chaos", "--seeds", "abc"], "malformed --seeds"),
+        (["gates", "--only", "integrity", "--seeds", "1,x"], "malformed --seeds"),
+        (["gates", "--case", " , "], "names nothing"),
+        (["gates", "--only", ","], "names nothing"),
+        (["gates", "--only", "chaos,nope"], "unknown gates"),
+        (["gates", "--only", "scenarios", "--case", "crashloop,nope"],
+         "no case matches"),
+        (["gates", "--only", "transparency"], "runs nothing"),
+        (["gates", "--seeds", "0:2"], "transparency takes no seeds"),
+        (["gates", "--only", "chaos", "--json", "out.json"], "--json needs"),
+        (["gates", "--case", "3", "--json", "out.json"], "--json needs"),
     ],
 )
-def test_fault_verbs_reject_bad_selections_with_exit_2(capsys, argv, message):
+def test_fault_verbs_reject_bad_selections_with_exit_2(capsys, monkeypatch, argv, message):
+    # With no failure point enumerated, the transparency gate alone runs
+    # nothing.
+    from repro.harness import gates
+
+    monkeypatch.setattr(gates, "failure_points", lambda topo: {})
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err

@@ -1,5 +1,7 @@
 """Cold start: building and running a job loads none of the linter or the
-trace tooling (``repro.analysis`` and ``repro.trace`` re-export lazily)."""
+trace tooling (``repro.analysis`` and ``repro.trace`` re-export lazily), and
+none of the fault gates (``repro.harness`` does not import
+``repro.harness.gates``), so a workload's setup pays for neither."""
 
 import os
 import subprocess
@@ -45,6 +47,11 @@ def test_runtime_imports_load_no_linter_and_no_trace_tooling():
         "repro.trace.export",
         "repro.trace.profiler",
         "repro.trace.timeline",
+        "repro.harness.gates",
+        "repro.scenarios",
+        "repro.transparency",
+        "repro.integrity.soak",
+        "repro.cli",
     ):
         assert heavy not in loaded, heavy
 

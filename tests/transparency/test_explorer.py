@@ -1,9 +1,9 @@
 """Failure-transparency explorer: enumeration is exhaustive, verdicts sound.
 
-The CI gate runs the full default matrix via ``repro transparency``; the
-tests here keep a reduced matrix (the 2- and 3-operator graphs) in the
-tier-1 suite so a transparency regression fails the PR, and unit-test the
-enumeration and verdict logic in isolation.
+The CI gate runs the full default matrix via ``repro gates --only
+transparency``; the tests here keep a reduced matrix (the 2- and 3-operator
+graphs) in the tier-1 suite so a transparency regression fails the PR, and
+unit-test the enumeration and verdict logic in isolation.
 """
 
 from collections import Counter
@@ -15,7 +15,8 @@ from repro.transparency.explorer import (
     FailurePoint,
     default_topologies,
     enumerate_failure_points,
-    explore_topology,
+    failure_points,
+    reports_of,
     run_case,
     suite_payload,
 )
@@ -24,6 +25,13 @@ from repro.transparency.explorer import (
 def topo(name):
     (match,) = [t for t in default_topologies() if t.name == name]
     return match
+
+
+def explore_topology(t, boundaries=2, compound=True):
+    """Run every failure point of one topology; its report."""
+    points = failure_points(t, boundaries, compound)
+    (report,) = reports_of([run_case(t, point) for point in points.values()])
+    return report
 
 
 class TestEnumeration:
