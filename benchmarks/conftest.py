@@ -76,7 +76,7 @@ def _gate_status(gate: str) -> str:
 def _audit_status() -> str:
     """The audit self-test (computed once per session; recorded in every
     benchmark's extra_info): a seeded sweep must flag every injected
-    corruption, as ``python -m repro audit --inject 4`` checks."""
+    corruption, as ``python -m repro audit --inject K`` requires."""
     try:
         import random
 
