@@ -7,8 +7,9 @@ A usage form (``[--only NAMES]``, ``a | b``, ``<placeholder>``) cannot be
 parsed as written, so only its verb and its ``--flags`` are checked.  Every
 backticked dotted ``repro.…`` name must import or resolve as an attribute.
 
-The history files (ROADMAP, CHANGES, ISSUE, PAPER*, SNIPPETS) quote the
-commands of their day and are not checked.
+At the root only the reference documents (README, DESIGN, EXPERIMENTS) are
+checked: the other root documents are plans and history that quote the
+commands of their day.  Documents in subdirectories are all checked.
 """
 
 import argparse
@@ -22,7 +23,7 @@ import repro.cli
 from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
-HISTORY = ("ROADMAP.md", "CHANGES.md", "ISSUE.md", "SNIPPETS.md")
+ROOT_REFERENCE = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 SKIPPED_DIRS = {".git", ".pytest_cache", ".hypothesis", ".benchmarks", "bench_out"}
 
 FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
@@ -36,7 +37,7 @@ def documents():
         parts = path.relative_to(ROOT).parts
         if SKIPPED_DIRS.intersection(parts):
             continue
-        if path.name in HISTORY or path.name.startswith("PAPER"):
+        if len(parts) == 1 and path.name not in ROOT_REFERENCE:
             continue
         yield path
 
