@@ -4,13 +4,15 @@ The perf work's hard constraint: optimisations may change how *fast* the
 simulator runs, never *what* it computes.  This module pins one seeded
 fig6-style failure workload — small enough to run in about a second, rich
 enough to exercise sources, stateful operators, checkpoints, a kill, causal
-deltas, and recovery — and records four digests per fault-tolerance mode:
+deltas, and recovery — and records five digests per fault-tolerance mode:
 
 * ``schedule_hash`` — the sanitizer's rolling hash over every popped kernel
   event ``(when, priority, type, name)``: the full event schedule.
 * ``kernel_steps`` — total events popped across all environments.
 * ``sink_sha256`` — SHA-256 over the reprs of the job's sink output values.
 * ``trace_sha256`` — SHA-256 of the deterministic JSONL trace export.
+* ``recovery_sha256`` — SHA-256 of the job's ``recovery_events`` view
+  (:func:`events_sha256`).
 
 ``check_goldens`` re-runs the workload and compares byte-for-byte.  If an
 optimisation changes any digest it reordered, added, or dropped events —
@@ -25,7 +27,7 @@ import hashlib
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.sanitizer import combined_digest, traced_environments
 from repro.config import FaultToleranceMode, JobConfig
@@ -40,12 +42,13 @@ from repro.workloads.synthetic import synthetic_chain
 
 @dataclass(frozen=True)
 class GoldenDigests:
-    """The four byte-for-byte pins of one golden run."""
+    """The five byte-for-byte pins of one golden run."""
 
     schedule_hash: str
     kernel_steps: int
     sink_sha256: str
     trace_sha256: str
+    recovery_sha256: str
 
 
 #: Recorded on the per-buffer-event-budget tree; every later perf change
@@ -60,6 +63,9 @@ EXPECTED: Dict[str, GoldenDigests] = {
         trace_sha256=(
             "f41d57ee3e154a4dbba735a7fc621dc9407efc7cd4fb73201d9ea67c295fafb8"
         ),
+        recovery_sha256=(
+            "f7900f0a9467634faabe4732cd19d13020e486e86d5484b4da10d7ea3b16bfc5"
+        ),
     ),
     "flink": GoldenDigests(
         schedule_hash="dc4bfdb79e250291",
@@ -69,6 +75,9 @@ EXPECTED: Dict[str, GoldenDigests] = {
         ),
         trace_sha256=(
             "3caa4a51dcbaeec1ffcf8280abc030cf8fe9748d3d650d20b64881deaeb8cd39"
+        ),
+        recovery_sha256=(
+            "367c14abcc9433c22f6c98f3246cd1cdba04a8df100024cd3ffd80ad39f04a3b"
         ),
     ),
 }
@@ -108,6 +117,12 @@ def _golden_graph(log: DurableLog, external: Optional[ExternalService]) -> JobGr
     )
 
 
+def events_sha256(events: Iterable[Tuple[float, str, str]]) -> str:
+    """SHA-256 over a ``recovery_events`` view, one entry's ``repr`` a line."""
+    text = "\n".join(repr(tuple(event)) for event in events)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def run_golden(label: str) -> GoldenDigests:
     """Run the golden workload for one mode and return its digests."""
     config = _golden_config(_MODES[label])
@@ -126,6 +141,7 @@ def run_golden(label: str) -> GoldenDigests:
         kernel_steps=sum(t.steps for t in tracers),
         sink_sha256=sink,
         trace_sha256=trace,
+        recovery_sha256=events_sha256(result.recovery_events),
     )
 
 
@@ -142,6 +158,7 @@ def check_goldens() -> List[str]:
             "kernel_steps",
             "sink_sha256",
             "trace_sha256",
+            "recovery_sha256",
         ):
             want = getattr(expected, field_name)
             got = getattr(actual, field_name)

@@ -13,7 +13,9 @@ pinned per case.
 
 Each gate runs once per session, through ``repro gates`` at CI's
 arguments, and that one run feeds the golden comparison, the stdout and
-exit-code pins and the ``--json`` payload pins.
+exit-code pins, the ``--json`` payload pins and ``event_pins.json``: per
+case, the sha256 of the run's ``recovery_events`` and of its JSONL trace
+export, read just before the run releases its cluster.
 
 Regenerate (only when a protocol change legitimately moves a verdict) with
 ``PYTHONPATH=src python tests/harness/test_fault_goldens.py``.
@@ -28,6 +30,7 @@ from pathlib import Path
 import pytest
 
 GOLDENS = Path(__file__).with_name("fault_goldens.json")
+EVENT_PINS = Path(__file__).with_name("event_pins.json")
 
 #: Each gate's command line as CI runs it -> (exit code, sha256 of stdout,
 #: sha256 of the ``--json`` payload or None).  The reporter's bytes are part
@@ -57,28 +60,47 @@ PINNED_OUTPUT = {
 
 
 def run_gates(workdir: Path) -> dict:
-    """gate -> (exit code, stdout, payload bytes or None, graded results)
-    for one ``repro gates --only <gate>`` run each, from ``workdir``."""
+    """gate -> (exit code, stdout, payload bytes or None, graded results,
+    per-case event digests) for one ``repro gates --only <gate>`` run each,
+    from ``workdir``."""
+    from repro.bench.golden import events_sha256
+    from repro.chaos.experiment import Observation
     from repro.cli import main
     from repro.harness import gates
+    from repro.trace.export import write_jsonl
 
     runs = {}
     seen = {}
+    digests = []
     report = gates.report
+    release = Observation.release
 
     def recording(name, results, *args):
         seen[name] = results
         return report(name, results, *args)
 
+    def digesting(obs):
+        trace = write_jsonl(workdir / "case.jsonl", obs.jm.trace).read_bytes()
+        digests.append({
+            "recovery_sha256": events_sha256(obs.recovery_events),
+            "trace_sha256": hashlib.sha256(trace).hexdigest(),
+        })
+        release(obs)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gates, "report", recording)
+        patch.setattr(Observation, "release", digesting)
         patch.chdir(workdir)
         for gate, (argv, *_pins) in PINNED_OUTPUT.items():
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main(argv)
             payload = (workdir / argv[-1]).read_bytes() if "--json" in argv else None
-            runs[gate] = (code, out.getvalue(), payload, seen.pop(gate))
+            results = seen.pop(gate)
+            assert len(digests) == len(results), gate
+            events = {r.label: d for r, d in zip(results, digests)}
+            digests.clear()
+            runs[gate] = (code, out.getvalue(), payload, results, events)
     return runs
 
 
@@ -87,7 +109,7 @@ def goldens(runs: dict) -> dict:
 
     return {
         gate: {r.label: GATES[gate].golden(r) for r in results}
-        for gate, (_code, _out, _payload, results) in runs.items()
+        for gate, (_code, _out, _payload, results, _events) in runs.items()
     }
 
 
@@ -110,7 +132,7 @@ def test_fault_gate_verdicts_match_the_pinned_goldens(gate_runs):
 
 def test_fault_gate_stdout_and_payloads_match_the_pins(gate_runs):
     for gate, (_argv, code, stdout_sha, payload_sha) in PINNED_OUTPUT.items():
-        ran_code, out, payload, _results = gate_runs[gate]
+        ran_code, out, payload, _results, _events = gate_runs[gate]
         assert ran_code == code, gate
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, gate
         if payload_sha is not None:
@@ -119,15 +141,24 @@ def test_fault_gate_stdout_and_payloads_match_the_pins(gate_runs):
 
 def test_gate_runs_release_every_simulated_cluster(gate_runs):
     # A gate keeps what its report prints, not every run's job manager.
-    for gate, (_code, _out, _payload, results) in gate_runs.items():
+    for gate, (_code, _out, _payload, results, _events) in gate_runs.items():
         for r in results:
             assert r.obs.jm is None and r.obs.engine is None, (gate, r.label)
+
+
+def test_every_case_records_the_pinned_recovery_events_and_trace(gate_runs):
+    pinned = json.loads(EVENT_PINS.read_text())
+    assert set(pinned) == set(gate_runs)
+    for gate, (*_run, events) in gate_runs.items():
+        assert events == pinned[gate], gate
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as workdir:
-        fresh = goldens(run_gates(Path(workdir)))
-    GOLDENS.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDENS}")
+        runs = run_gates(Path(workdir))
+    GOLDENS.write_text(json.dumps(goldens(runs), indent=2, sort_keys=True) + "\n")
+    events = {gate: run[-1] for gate, run in runs.items()}
+    EVENT_PINS.write_text(json.dumps(events, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDENS} and {EVENT_PINS}")
