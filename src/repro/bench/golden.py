@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -153,17 +153,11 @@ def check_goldens() -> List[str]:
         actual = run_golden(label)
         if actual == expected:
             continue
-        for field_name in (
-            "schedule_hash",
-            "kernel_steps",
-            "sink_sha256",
-            "trace_sha256",
-            "recovery_sha256",
-        ):
-            want = getattr(expected, field_name)
-            got = getattr(actual, field_name)
+        for field in fields(GoldenDigests):
+            want = getattr(expected, field.name)
+            got = getattr(actual, field.name)
             if want != got:
                 failures.append(
-                    f"{label}: {field_name} drifted: expected {want}, got {got}"
+                    f"{label}: {field.name} drifted: expected {want}, got {got}"
                 )
     return failures

@@ -125,9 +125,6 @@ class ChaosEngine:
 
     def _note(self, spec: FaultSpec, target: str) -> None:
         self.applied.append((self.env.now, spec.kind, target))
-        self.jm.recovery_events.append(
-            (self.env.now, f"chaos:{spec.kind}", target)
-        )
         self.jm.trace.emit(self.env.now, "chaos-fault", target, fault=spec.kind)
 
     def _skip(self, spec: FaultSpec, reason: str) -> None:
@@ -213,7 +210,6 @@ class ChaosEngine:
             return
         self._note(spec, name)
         vertex.standby.fail()
-        self.jm.recovery_events.append((self.env.now, "standby-lost", name))
 
     def _apply_link_partition(self, spec: FaultSpec) -> None:
         links = self._matched_links(spec.target)

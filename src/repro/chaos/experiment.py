@@ -25,8 +25,9 @@ phases) and in which extra checks ride along; everything else is here, once:
       the origin projection equals the failure-free one: exactly-once.
   ``announced-degradation``
       duplicates, or loss of records the poison registry quarantined, and
-      the run *recorded* a :data:`DEGRADATION_MARKERS` event: at-least-once
-      with the divergence announced, which the contract permits.
+      the run *recorded* an event that :data:`~repro.trace.events.EVENT_KINDS`
+      declares announcing: at-least-once with the divergence announced,
+      which the contract permits.
   ``violation:<why>``
       ``data-loss``, ``alien-output``, ``silent-duplication``,
       ``recovery-stalled``, ``hang``, or — under ``strict`` —
@@ -53,6 +54,7 @@ from repro.external.kafka import DurableLog
 from repro.graph.logical import JobGraph
 from repro.harness.experiment import deploy_experiment
 from repro.runtime.jobmanager import JobManager
+from repro.trace.events import ANNOUNCED
 from repro.workloads.synthetic import WorkloadShaping, synthetic_chain
 
 Origin = Tuple[int, int]
@@ -64,16 +66,6 @@ Faults = Union[None, FaultPlan, Callable[[JobManager], Optional[FaultPlan]]]
 
 IN_TOPIC = "soak-in"
 OUT_TOPIC = "soak-out"
-
-#: Recovery-event kinds that announce degraded (at-least-once) semantics.
-DEGRADATION_MARKERS = (
-    "degraded:global_rollback",
-    "degraded:recovery_stalled",
-    "degraded:poison_quarantined",
-    "orphan-fallback",
-    "global-restart-begin",
-    "replay-diverged",
-)
 
 
 def fast_chaos_config(seed: int = 7, checkpoint_interval: float = 0.5) -> JobConfig:
@@ -168,7 +160,7 @@ class Observation:
 
     @property
     def degradations(self) -> List[Event]:
-        return [e for e in self.recovery_events if e[1] in DEGRADATION_MARKERS]
+        return [e for e in self.recovery_events if e[1] in ANNOUNCED]
 
     def release(self) -> None:
         """Drop the cluster and the per-record origins once the verdict and

@@ -226,7 +226,7 @@ def _cmd_bench(args) -> int:
     for failure in golden_failures:
         print(f"GOLDEN DRIFT: {failure}", file=sys.stderr)
     if not golden_failures:
-        print("golden digests: OK (schedule, sink, trace byte-identical)")
+        print("golden digests: OK (schedule, sink, trace, recovery byte-identical)")
     if args.golden_only:
         return 1 if golden_failures else 0
 

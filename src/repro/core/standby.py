@@ -56,14 +56,18 @@ class StandbyState:
         """Whether the fast-path activation can use this standby."""
         return not self.failed and self.snapshot is not None
 
-    def fail(self) -> None:
-        """The standby process crashed: its in-memory state is lost."""
+    def fail(self, evicted: bool = False) -> None:
+        """The standby process crashed (or was ``evicted`` under slot
+        pressure): its in-memory state is lost."""
         if self.failed:
             return
         self.failed = True
         self.snapshot = None
         if self.trace is not None:
-            self.trace.emit(self.env.now, "standby-lost", self.task_name)
+            self.trace.emit(
+                self.env.now, "standby-evicted" if evicted else "standby-lost",
+                self.task_name,
+            )
         if self._fail_event is not None:
             event, self._fail_event = self._fail_event, None
             event.succeed()

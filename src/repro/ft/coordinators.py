@@ -83,17 +83,12 @@ class RecoveryCoordinator:
             if self.jm.config.clonos.fallback_to_global:
                 # Figure 4, DSD < D, orphaned leaf: trigger a global rollback
                 # (favour consistency, Section 5.4).
-                self.jm.recovery_events.append(
-                    (self.env.now, "orphan-fallback", task_name)
-                )
                 self.jm.trace.emit(self.env.now, "orphan-fallback", task_name)
                 self.escalate(task_name)
                 return
             # Favour availability: recover locally WITHOUT determinants,
             # skipping deduplication — at-least-once (Section 5.4).
-            self.jm.recovery_events.append(
-                (self.env.now, "orphan-skip-dedup", task_name)
-            )
+            self.jm.trace.emit(self.env.now, "orphan-skip-dedup", task_name)
         self.jm.recovering_tasks.add(task_name)
         self._spawn_recovery(vertex, self._supervised_recovery(vertex, case))
 
@@ -111,17 +106,12 @@ class RecoveryCoordinator:
         self.env.process(self._restart_job(), name="global-restart")
 
     def degrade(self, task_name: str, reason: str) -> None:
-        """A recovery artifact needed for exact replay is corrupt beyond
-        local repair (e.g. a logged in-flight buffer failed its checksum
-        during replay): announce the degradation and restart globally, which
-        regenerates the lost data from the sources instead of replaying the
-        corrupt copy."""
-        jm = self.jm
-        jm.recovery_events.append((self.env.now, f"integrity:{reason}", task_name))
-        jm.recovery_events.append(
-            (self.env.now, "degraded:global_rollback", task_name)
-        )
-        jm.trace.emit(self.env.now, "degraded", task_name, reason=reason)
+        """Rung 3: announce the degradation and restart globally.  ``reason``
+        is ``ladder-exhausted``, or names a recovery artifact corrupt beyond
+        local repair (e.g. a logged in-flight buffer that failed its checksum
+        during replay): the restart regenerates the lost data from the
+        sources instead of replaying the corrupt copy."""
+        self.jm.trace.emit(self.env.now, "degraded", task_name, reason=reason)
         self.escalate(task_name)
 
     # -- recovery supervision ---------------------------------------------------------
@@ -144,9 +134,7 @@ class RecoveryCoordinator:
         (killing) any still-running recovery for the same vertex — a repeat
         failure mid-recovery restarts the procedure instead of racing it."""
         if self._cancel([vertex.name]):
-            self.jm.recovery_events.append(
-                (self.env.now, "recovery-superseded", vertex.name)
-            )
+            self.jm.trace.emit(self.env.now, "recovery-superseded", vertex.name)
         proc = self.env.process(generator, name=f"recover:{vertex.name}")
         self._procs.setdefault(vertex.name, []).append(proc)
         return proc
@@ -161,27 +149,17 @@ class RecoveryCoordinator:
         self.jm.trace.emit(self.env.now, "phase-begin", vertex_name, phase=label)
         try:
             yield self.env.any_of([proc, self.env.timeout(deadline)])
+            status = "ok" if proc.triggered and proc.ok else "timeout"
         except ReproError:
-            self.jm.recovery_events.append(
-                (self.env.now, f"step-failed:{label}", vertex_name)
-            )
-            self.jm.trace.emit(
-                self.env.now, "phase-end", vertex_name, phase=label, status="error"
-            )
-            return (f"{label}:error", None)
-        if proc.triggered and proc.ok:
-            self.jm.trace.emit(
-                self.env.now, "phase-end", vertex_name, phase=label, status="ok"
-            )
-            return ("ok", proc.value)
-        proc.kill()
-        self.jm.recovery_events.append(
-            (self.env.now, f"step-timeout:{label}", vertex_name)
-        )
+            status = "error"
+        if status == "timeout":
+            proc.kill()
         self.jm.trace.emit(
-            self.env.now, "phase-end", vertex_name, phase=label, status="timeout"
+            self.env.now, "phase-end", vertex_name, phase=label, status=status
         )
-        return (f"{label}:timeout", None)
+        if status == "ok":
+            return ("ok", proc.value)
+        return (f"{label}:{status}", None)
 
     # -- shared helpers ---------------------------------------------------------------
 
@@ -224,9 +202,7 @@ class RecoveryCoordinator:
                         f"{task_name}: checkpoint {checkpoint_id} restore "
                         f"failed after {attempt + 1} attempts: {exc}"
                     ) from exc
-                self.jm.recovery_events.append(
-                    (self.env.now, "dfs-retry", task_name)
-                )
+                self.jm.trace.emit(self.env.now, "dfs-retry", task_name)
                 yield self.env.timeout(policy.delay(attempt, rng))
                 attempt += 1
 
@@ -279,8 +255,8 @@ class RecoveryCoordinator:
         attaches a fresh one."""
         if vertex.task is task and task.status is TaskStatus.CREATED:
             task.fail()
-            self.jm.recovery_events.append(
-                (self.env.now, "recovery-incarnation-abandoned", vertex.name)
+            self.jm.trace.emit(
+                self.env.now, "recovery-incarnation-abandoned", vertex.name
             )
 
     def _request_replays(self, vertex, from_epoch: int) -> None:
@@ -304,7 +280,7 @@ class RecoveryCoordinator:
 
         Replay requests are recovery-critical: with the reliable control
         plane they carry ids and are resent until acked, every resend and a
-        final give-up recorded in ``recovery_events``."""
+        final give-up recorded on the bus."""
         jm = self.jm
         name = upstream.name
         upstream.control.send(
@@ -319,11 +295,11 @@ class RecoveryCoordinator:
             sender=sender,
             reliable=jm.config.reliable_control_plane,
             retry=jm.config.rpc_retry,
-            on_retry=lambda n: jm.recovery_events.append(
-                (self.env.now, f"rpc-retry:replay_request:{n}", name)
+            on_retry=lambda n: jm.trace.emit(
+                self.env.now, "rpc-retry", name, rpc="replay_request", attempt=n
             ),
-            on_give_up=lambda _n: jm.recovery_events.append(
-                (self.env.now, "rpc-exhausted:replay_request", name)
+            on_give_up=lambda _n: jm.trace.emit(
+                self.env.now, "rpc-exhausted", name, rpc="replay_request"
             ),
         )
 
@@ -333,7 +309,6 @@ class RecoveryCoordinator:
         jm = self.jm
         jm.abort_pending_checkpoint()
         self._cancel(list(self._procs))
-        jm.recovery_events.append((self.env.now, "global-restart-begin", "*"))
         jm.trace.emit(self.env.now, "global-restart-begin", "*")
         jm.trace.emit(self.env.now, "phase-mark", "*", phase="task-cancellation")
         # Cancel every surviving task (they stop processing immediately) —
@@ -373,18 +348,14 @@ class RecoveryCoordinator:
             try:
                 snapshots = yield self.env.all_of(procs)
             except IntegrityError as exc:
-                jm.recovery_events.append(
-                    (self.env.now, "integrity:restore-failed", repr(exc))
-                )
+                jm.trace.emit(self.env.now, "restore-failed", repr(exc))
                 excluded.add(cid)
                 continue
             except ReproError as exc:
                 # A restart that cannot complete (e.g. the cluster lost too
                 # much capacity) must surface as a job failure, not a silent
                 # wedge.
-                jm.recovery_events.append(
-                    (self.env.now, "global-restart-failed", repr(exc))
-                )
+                jm.trace.emit(self.env.now, "global-restart-failed", repr(exc))
                 jm.crashed.append(("global-restart", exc))
                 return
             break
@@ -412,8 +383,8 @@ class RecoveryCoordinator:
                     and standby.snapshot.checkpoint_id > cid
                 ):
                     standby.snapshot = jm.snapshot_store.get(vertex.name, cid)
-            jm.recovery_events.append(
-                (self.env.now, f"integrity:timeline-rewind:{cid}", f"dropped={dropped}")
+            jm.trace.emit(
+                self.env.now, "timeline-rewind", "*", epoch=cid, dropped=dropped
             )
         # Attach every rebuilt task to the links before any of them starts:
         # snapshot loads finish at different times, and an upstream that
@@ -439,10 +410,7 @@ class RecoveryCoordinator:
         jm.dead_tasks.clear()
         jm.recovering_tasks.clear()
         self._restarting = False
-        jm.recovery_events.append((self.env.now, "global-restart-done", "*"))
-        jm.trace.emit(
-            self.env.now, "global-restart-done", "*", epoch=cid
-        )
+        jm.trace.emit(self.env.now, "global-restart-done", "*", epoch=cid)
 
     def _select_restore_epoch(self, excluded=()) -> int:
         """The multi-epoch rung of the fallback ladder.
@@ -478,24 +446,14 @@ class RecoveryCoordinator:
             ]
             if not corrupt:
                 if cid != latest:
-                    jm.recovery_events.append(
-                        (self.env.now, f"integrity:epoch-fallback:{latest}->{cid}", "*")
-                    )
-                    jm.recovery_events.append(
-                        (self.env.now, "degraded:global_rollback", "epoch-fallback")
+                    jm.trace.emit(
+                        self.env.now, "epoch-fallback", "*", latest=latest, epoch=cid
                     )
                 return cid
-            jm.recovery_events.append(
-                (
-                    self.env.now,
-                    f"integrity:epoch-invalid:{cid}",
-                    ",".join(sorted(corrupt)),
-                )
+            jm.trace.emit(
+                self.env.now, "epoch-invalid", ",".join(sorted(corrupt)), epoch=cid
             )
-        jm.recovery_events.append((self.env.now, "integrity:no-valid-epoch", "*"))
-        jm.recovery_events.append(
-            (self.env.now, "degraded:global_rollback", "no-valid-epoch")
-        )
+        jm.trace.emit(self.env.now, "no-valid-epoch", "*")
         return 0
 
     # -- task scope -------------------------------------------------------------------
@@ -515,12 +473,7 @@ class RecoveryCoordinator:
             # sink's input without determinants would silently corrupt its
             # count-based dedup, so treat the task as orphaned instead.
             case = RecoveryCase.ORPHANED
-            self.jm.recovery_events.append(
-                (self.env.now, "orphan-externalized-output", task_name)
-            )
-            self.jm.trace.emit(
-                self.env.now, "orphan-externalized-output", task_name
-            )
+            self.jm.trace.emit(self.env.now, "orphan-externalized-output", task_name)
         return case
 
     def _externalized_dependent(self, task_name: str) -> bool:
@@ -553,9 +506,6 @@ class RecoveryCoordinator:
             )
             if label is None:
                 return
-            jm.recovery_events.append(
-                (self.env.now, f"recovery-retry:{label}", vertex.name)
-            )
             jm.trace.emit(
                 self.env.now,
                 "recovery-retry",
@@ -569,21 +519,13 @@ class RecoveryCoordinator:
                 # The only local restore source is corrupt — retrying cannot
                 # fix a bad artifact.  Skip straight to the global fallback,
                 # which can select an older validated epoch.
-                jm.recovery_events.append(
-                    (self.env.now, "integrity:local-restore-unavailable", vertex.name)
-                )
+                jm.trace.emit(self.env.now, "local-restore-unavailable", vertex.name)
                 break
             if attempt < attempts - 1:
                 yield self.env.timeout(retry.delay(attempt, rng))
         # Rung 3: graceful degradation to global-rollback semantics.
-        jm.recovery_events.append(
-            (self.env.now, "degraded:global_rollback", vertex.name)
-        )
-        jm.trace.emit(
-            self.env.now, "degraded", vertex.name, reason="ladder-exhausted"
-        )
         jm.recovering_tasks.discard(vertex.name)
-        self.escalate(vertex.name)
+        self.degrade(vertex.name, "ladder-exhausted")
 
     def _latest_epoch_corrupt(self, vertex) -> bool:
         """Whether the newest completed checkpoint of this task exists but
@@ -700,9 +642,7 @@ class RecoveryCoordinator:
                     stored.verify(owner=owner)
                 except IntegrityError as exc:
                     jm.integrity.record_failure(exc.artifact, exc.name, str(exc))
-                    jm.recovery_events.append(
-                        (self.env.now, "integrity:determinant-log", holder)
-                    )
+                    jm.trace.emit(self.env.now, "determinant-log-invalid", holder)
                     raise
                 jm.integrity.record_ok("determinant-log")
             bundles.append(stored)

@@ -123,7 +123,8 @@ GATES: Dict[str, Gate] = {
         columns=("scenario", "verdict", "dur", "overhead", "lost", "dup",
                  "degr", "recovery", "failed checks"),
         cases=lambda seeds: [
-            (scenario.name, partial(run_scenario, scenario, seed))
+            (scenario.name if seed is None else f"{scenario.name}/{seed}",
+             partial(run_scenario, scenario, seed))
             for seed in ([None] if seeds is None else seeds)
             for scenario in SCENARIOS
         ],

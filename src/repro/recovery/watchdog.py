@@ -260,22 +260,11 @@ class RecoveryWatchdog:
         wedged replay was waiting for."""
         jm = self.jm
         victim = self._victim()
-        phase = current_phase(jm)
         self._stage = 1
         self.escalations += 1
-        jm.recovery_events.append(
-            (jm.env.now, f"recovery-stalled:{phase}", victim)
-        )
-        jm.recovery_events.append(
-            (jm.env.now, "degraded:recovery_stalled", victim)
-        )
         jm.trace.emit(
-            jm.env.now,
-            "recovery-stalled",
-            victim,
-            phase=phase,
-            last_progress_at=self._last_progress_at,
-            stall_timeout=self.stall_timeout,
+            jm.env.now, "recovery-stalled", victim, phase=current_phase(jm),
+            last_progress_at=self._last_progress_at, stall_timeout=self.stall_timeout,
         )
         try:
             jm.coordinator.escalate(victim)
@@ -299,9 +288,6 @@ class RecoveryWatchdog:
                 f"{self.escalations} escalation(s) issued)"
             ),
             incident=len(self.incidents) - 1 if self.incidents else None,
-        )
-        jm.recovery_events.append(
-            (jm.env.now, "recovery-stall-fatal", victim)
         )
         jm.trace.emit(jm.env.now, "recovery-stall-fatal", victim, why=why)
         self._armed = False

@@ -104,7 +104,7 @@ class JobManager:
         self.streams = RandomStreams(config.seed)
         self.dfs = DistributedFileSystem(env, config.cost)
         #: Structured sim-time-stamped event bus (repro.trace); always on,
-        #: passive by construction — recording only appends to a list.
+        #: passive by construction — recording only appends to lists.
         self.trace = TraceLog()
         self.integrity = IntegrityMonitor(validate=config.integrity.validate)
         self.integrity.bind_trace(self.trace, lambda: self.env.now)
@@ -136,7 +136,6 @@ class JobManager:
         self.recovering_tasks: Set[str] = set()
         self.coordinator = None  # set in deploy()
         self.failures_injected: List[Tuple[float, str]] = []
-        self.recovery_events: List[Tuple[float, str, str]] = []
         #: Installed by the chaos engine; ControlQueues consult it per
         #: delivery.  None = healthy control plane.
         self.control_chaos = None
@@ -236,6 +235,11 @@ class JobManager:
         self._checkpoint_proc = self.env.process(
             self._checkpoint_coordinator(), name="checkpoint-coordinator"
         )
+
+    @property
+    def recovery_events(self) -> List[Tuple[float, str, str]]:
+        """The bus's recovery view of ``(t, kind, subject)`` entries."""
+        return self.trace.recovery
 
     def _uses_standbys(self) -> bool:
         return (
@@ -432,9 +436,7 @@ class JobManager:
                 if pending_for >= self.config.effective_checkpoint_timeout:
                     cid = self._pending_checkpoint
                     self.abort_pending_checkpoint()
-                    self.recovery_events.append(
-                        (self.env.now, "checkpoint-aborted:timeout", str(cid))
-                    )
+                    self.trace.emit(self.env.now, "checkpoint-timeout", checkpoint_id=cid)
                     # Release tasks still aligned on the aborted cut.  If the
                     # barrier-injection RPC to one source was lost, no task
                     # ever sees that source's barrier: the alignment holds
@@ -498,9 +500,7 @@ class JobManager:
                 if attempt >= policy.max_attempts - 1:
                     # Give up: the pending checkpoint aborts via its timeout;
                     # the job keeps running on the previous completed one.
-                    self.recovery_events.append(
-                        (self.env.now, "checkpoint-upload-failed", task.name)
-                    )
+                    self.trace.emit(self.env.now, "checkpoint-upload-failed", task.name)
                     return
                 yield self.env.timeout(policy.delay(attempt, rng))
                 attempt += 1
@@ -690,10 +690,9 @@ class JobManager:
                 name = occupant[len("standby:"):]
                 vertex = self.vertices.get(name)
                 if vertex is not None and vertex.standby is not None:
+                    if vertex.standby.failed:  # lost before, its slot still held
+                        self.trace.emit(self.env.now, "standby-lost-again", name)
                     vertex.standby.fail()
-                    self.recovery_events.append(
-                        (self.env.now, "standby-lost", name)
-                    )
                 if not fail_node:
                     self.cluster.release(occupant)
                 continue
@@ -731,8 +730,7 @@ class JobManager:
             return False
         victim = prefer if prefer in candidates else candidates[0]
         self.cluster.release(f"standby:{victim}")
-        self.vertices[victim].standby.fail()
-        self.recovery_events.append((self.env.now, "standby-evicted", victim))
+        self.vertices[victim].standby.fail(evicted=True)
         return True
 
     def reprovision_standby(self, vertex: VertexRuntime) -> Optional[StandbyState]:
@@ -750,18 +748,14 @@ class JobManager:
         try:
             node = self.cluster.allocate(f"standby:{vertex.name}", avoid)
         except JobError:
-            self.recovery_events.append(
-                (self.env.now, "standby-reprovision-deferred", vertex.name)
-            )
+            self.trace.emit(self.env.now, "standby-reprovision-deferred", vertex.name)
             return None
         standby = StandbyState(
             self.env, self.cost, vertex.name, node, monitor=self.integrity,
             trace=self.trace,
         )
         vertex.standby = standby
-        self.recovery_events.append(
-            (self.env.now, "standby-reprovisioned", vertex.name)
-        )
+        self.trace.emit(self.env.now, "standby-reprovisioned", vertex.name)
         cid = self.completed_checkpoint
         if cid > 0 and self.snapshot_store.get(vertex.name, cid) is not None:
             self.env.process(
@@ -786,9 +780,6 @@ class JobManager:
         """A poison pill crossed its crash budget and is now skipped forever:
         an *announced* degradation (the record is knowingly dropped), so
         divergence-from-baseline checkers can tell it from silent loss."""
-        self.recovery_events.append(
-            (self.env.now, "degraded:poison_quarantined", task_name)
-        )
         self.trace.emit(
             self.env.now, "poison-quarantined", task_name, origin=str(origin)
         )
@@ -824,7 +815,7 @@ class JobManager:
         link.purge()
         if link.chaos is not None:
             link.chaos.broken = False
-        self.recovery_events.append((self.env.now, "link-repair", link.name))
+        self.trace.emit(self.env.now, "link-repair", link.name)
         receiver = link.receiver
         delivered = receiver.delivered_seq if receiver is not None else -1
         self.coordinator.request_replay(
@@ -836,7 +827,6 @@ class JobManager:
         if task_name not in self.dead_tasks:
             return  # already recovered via a broader action (global restart)
         self.abort_pending_checkpoint()
-        self.recovery_events.append((self.env.now, "detected", task_name))
         self.trace.emit(self.env.now, "failure-detected", task_name)
         self.watchdog.incident_opened(task_name)
         self.coordinator.on_failure_detected(task_name)
@@ -845,7 +835,6 @@ class JobManager:
 
     def task_recovered(self, task: StreamTask) -> None:
         self.recovering_tasks.discard(task.name)
-        self.recovery_events.append((self.env.now, "recovered", task.name))
         self.trace.emit(self.env.now, "task-recovered", task.name)
 
     def task_crashed(self, task: StreamTask, exc: BaseException) -> None:
@@ -985,15 +974,11 @@ class SuspicionFailureDetector:
                 if now - self.last_beat[name] > 1.5 * interval:
                     self.missed[name] += 1
                     self.suspicions.append((now, name, self.missed[name]))
-                    self.jm.recovery_events.append(
-                        (now, f"suspected:{self.missed[name]}", name)
-                    )
+                    self.jm.trace.emit(now, "suspected", name, misses=self.missed[name])
                     if self.missed[name] >= self.threshold:
                         self.missed[name] = 0
                         self.declared_failed.append((now, name))
-                        self.jm.recovery_events.append(
-                            (now, "spurious-failover", name)
-                        )
+                        self.jm.trace.emit(now, "spurious-failover", name)
                         self.jm.kill_task(name, force=True)
                 else:
                     self.missed[name] = 0

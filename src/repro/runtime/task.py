@@ -407,7 +407,6 @@ class StreamTask:
             # back to the same record, where the registry rules again.
             name = self.name
             jm = self.jm
-            jm.recovery_events.append((self.env.now, "poison-crash", name))
             jm.trace.emit(self.env.now, "poison-crash", name)
             self.env.schedule_callback(
                 0.0, lambda: jm.kill_task(name, force=True)
@@ -422,7 +421,6 @@ class StreamTask:
             # is still exactly-once.
             name = self.name
             jm = self.jm
-            jm.recovery_events.append((self.env.now, "external-crash", name))
             jm.trace.emit(self.env.now, "external-crash", name, error=str(exc))
             self.env.schedule_callback(
                 0.0, lambda: jm.kill_task(name, force=True)
@@ -518,9 +516,7 @@ class StreamTask:
                     # rollback, not a job crash; without it, surface the bug.
                     if not self.config.clonos.fallback_to_global:
                         raise
-                    self.jm.recovery_events.append(
-                        (self.env.now, "determinant-delta-gap", self.name)
-                    )
+                    self.jm.trace.emit(self.env.now, "determinant-delta-gap", self.name)
                     self.jm.coordinator.degrade(self.name, "determinant-delta-gap")
                     if buffer.recycle_on_consume:
                         buffer.recycle()
@@ -675,14 +671,7 @@ class StreamTask:
             # Replay never blocks channels (order determinants dictate the
             # interleaving), so the alignment holds no credits hostage.
             return
-        cancelled = self._aligning
-        self._cancelled_alignments.add(cancelled)
-        self._aligning = None
-        self._barriers_received = set()
-        self.jm.recovery_events.append(
-            (self.env.now, f"alignment-cancelled:{cancelled}", self.name)
-        )
-        self.gate.unblock_all()
+        self._cancel_alignment(self._aligning)
 
     def _take_checkpoint(self, checkpoint_id: int):
         state_size = self.backend.size_bytes()
@@ -827,8 +816,8 @@ class StreamTask:
             return
         self._aligning = None
         self._barriers_received = set()
-        self.jm.recovery_events.append(
-            (self.env.now, f"alignment-cancelled:{checkpoint_id}", self.name)
+        self.jm.trace.emit(
+            self.env.now, "alignment-cancelled", self.name, checkpoint_id=checkpoint_id
         )
         self.gate.unblock_all()
 
@@ -929,7 +918,7 @@ class StreamTask:
         Availability mode (Section 5.4, fallback disabled): abandon the log
         and continue divergently — at-least-once.  Returns False: the
         caller keeps processing the buffer it holds."""
-        self.jm.recovery_events.append((self.env.now, "replay-diverged", self.name))
+        self.jm.trace.emit(self.env.now, "replay-diverged", self.name)
         if self.config.clonos.fallback_to_global:
             self.recovery.force_finish()
             self.jm.coordinator.degrade(self.name, "replay-diverged")

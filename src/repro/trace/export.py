@@ -19,25 +19,11 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.trace.events import TraceEvent, TraceLog
+from repro.trace.events import EVENT_KINDS, TraceEvent, TraceLog
 from repro.trace.spans import Span, build_span_tree
 from repro.trace.timeline import JobTimeline
 
 _JSON_KW = {"sort_keys": True, "separators": (",", ":")}
-
-#: Instant-event kinds surfaced in the Chrome trace (everything else is
-#: either span-structured or replay bookkeeping).
-_INSTANT_KINDS = (
-    "failure-injected",
-    "failure-detected",
-    "task-recovered",
-    "recovery-retry",
-    "orphan-fallback",
-    "degraded",
-    "standby-lost",
-    "chaos-fault",
-    "integrity-violation",
-)
 
 _PID = 1
 _JOB_TID = 0
@@ -94,7 +80,7 @@ def _span_events(root: Span, tids: Dict[str, int]) -> List[Dict[str, Any]]:
 def _instant_events(trace: TraceLog, tids: Dict[str, int]) -> List[Dict[str, Any]]:
     records = []
     for event in trace:
-        if event.kind not in _INSTANT_KINDS:
+        if not EVENT_KINDS[event.kind].instant:
             continue
         records.append(
             {

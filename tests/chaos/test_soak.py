@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from repro.chaos import FaultPlan, run_chaos_experiment
 from repro.chaos.experiment import (
-    DEGRADATION_MARKERS,
     SoakJob,
     fast_chaos_config,
     grade,
     run_experiment,
 )
+from repro.trace.events import EVENT_KINDS
 
 LIMIT = 120.0
 
@@ -103,5 +103,6 @@ def test_degraded_runs_announce_themselves():
     )
     result = grade(3, run_experiment(SoakJob(), plan, config, LIMIT))
     assert result.outcome == "announced-degradation", describe(result)
-    assert any(k in DEGRADATION_MARKERS for (_t, k, _w) in result.obs.degradations)
+    announced = {k for spec in EVENT_KINDS.values() for k in spec.announces}
+    assert any(k in announced for (_t, k, _w) in result.obs.degradations)
     assert result.missing == 0, "degraded still means at-least-once"

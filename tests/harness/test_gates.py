@@ -57,6 +57,13 @@ def test_seeds_replace_the_seed_sets_and_every_scenario_seed():
     runs = [run for _label, run in selected["scenarios"]]
     assert len(runs) == 2 * len(SCENARIOS)
     assert {run.args[1] for run in runs} == {5, 7}
+    scenario_labels = labels(selected["scenarios"])
+    assert len(set(scenario_labels)) == len(scenario_labels)
+    both = select(["scenarios"], ["zone_failover"], seeds=[5, 7])["scenarios"]
+    assert labels(both) == ["zone_failover/5", "zone_failover/7"]
+    one = select(["scenarios"], ["zone_failover/7"], seeds=[5, 7])["scenarios"]
+    assert labels(one) == ["zone_failover/7"]
+    assert one[0][1].args[1] == 7
     with pytest.raises(GateSelectionError, match="transparency takes no seeds"):
         select(["transparency"], seeds=[1])
 

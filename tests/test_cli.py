@@ -164,7 +164,8 @@ def test_gates_list_prints_labels_and_runs_nothing(capsys):
     assert main(["gates", "--only", "chaos,scenarios", "--seeds", "4,9", "--list"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["chaos        4", "chaos        9"]
-    assert "scenarios    zone_failover" in lines
+    assert "scenarios    zone_failover/4" in lines
+    assert "scenarios    zone_failover/9" in lines
     assert len(lines) == 2 + 2 * 12  # every scenario under each seed
 
 
