@@ -4,7 +4,7 @@ The perf work's hard constraint: optimisations may change how *fast* the
 simulator runs, never *what* it computes.  This module pins one seeded
 fig6-style failure workload — small enough to run in about a second, rich
 enough to exercise sources, stateful operators, checkpoints, a kill, causal
-deltas, and recovery — and records five digests per fault-tolerance mode:
+deltas, and recovery — and records six digests per fault-tolerance mode:
 
 * ``schedule_hash`` — the sanitizer's rolling hash over every popped kernel
   event ``(when, priority, type, name)``: the full event schedule.
@@ -13,6 +13,8 @@ deltas, and recovery — and records five digests per fault-tolerance mode:
 * ``trace_sha256`` — SHA-256 of the deterministic JSONL trace export.
 * ``recovery_sha256`` — SHA-256 of the job's ``recovery_events`` view
   (:func:`events_sha256`).
+* ``chrome_sha256`` — SHA-256 of the Chrome-trace document
+  (:func:`repro.trace.export.chrome_trace`), ``json.dumps`` with sorted keys.
 
 ``check_goldens`` re-runs the workload and compares byte-for-byte.  If an
 optimisation changes any digest it reordered, added, or dropped events —
@@ -24,6 +26,7 @@ deleted zero-delay events on purpose; both ``trace_sha256`` survived it.
 from __future__ import annotations
 
 import hashlib
+import json
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -36,19 +39,21 @@ from repro.external.kafka import DurableLog
 from repro.graph.logical import JobGraph
 from repro.harness.experiment import run_experiment
 from repro.harness.figures import experiment_config
-from repro.trace.export import write_jsonl
+from repro.trace.export import chrome_trace, write_jsonl
+from repro.trace.timeline import timeline_of
 from repro.workloads.synthetic import synthetic_chain
 
 
 @dataclass(frozen=True)
 class GoldenDigests:
-    """The five byte-for-byte pins of one golden run."""
+    """The six byte-for-byte pins of one golden run."""
 
     schedule_hash: str
     kernel_steps: int
     sink_sha256: str
     trace_sha256: str
     recovery_sha256: str
+    chrome_sha256: str
 
 
 #: Recorded on the per-buffer-event-budget tree; every later perf change
@@ -66,6 +71,9 @@ EXPECTED: Dict[str, GoldenDigests] = {
         recovery_sha256=(
             "f7900f0a9467634faabe4732cd19d13020e486e86d5484b4da10d7ea3b16bfc5"
         ),
+        chrome_sha256=(
+            "6577fcd103da6e5aa9106c2a3f2e926aa2aa70ddbd01eefb6bac8e2bb43f2701"
+        ),
     ),
     "flink": GoldenDigests(
         schedule_hash="dc4bfdb79e250291",
@@ -78,6 +86,9 @@ EXPECTED: Dict[str, GoldenDigests] = {
         ),
         recovery_sha256=(
             "367c14abcc9433c22f6c98f3246cd1cdba04a8df100024cd3ffd80ad39f04a3b"
+        ),
+        chrome_sha256=(
+            "e9b2ae2373b76a3b842134baeda82cd198eb828dd08be25698589fb0bbeee560"
         ),
     ),
 }
@@ -142,6 +153,9 @@ def run_golden(label: str) -> GoldenDigests:
         sink_sha256=sink,
         trace_sha256=trace,
         recovery_sha256=events_sha256(result.recovery_events),
+        chrome_sha256=hashlib.sha256(json.dumps(
+            chrome_trace(result.jm.trace, timeline_of(result)), sort_keys=True
+        ).encode()).hexdigest(),
     )
 
 

@@ -226,7 +226,10 @@ def _cmd_bench(args) -> int:
     for failure in golden_failures:
         print(f"GOLDEN DRIFT: {failure}", file=sys.stderr)
     if not golden_failures:
-        print("golden digests: OK (schedule, sink, trace, recovery byte-identical)")
+        print(
+            "golden digests: OK "
+            "(schedule, sink, trace, recovery, chrome byte-identical)"
+        )
     if args.golden_only:
         return 1 if golden_failures else 0
 
