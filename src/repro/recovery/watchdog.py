@@ -73,13 +73,15 @@ def replay_positions(jm) -> Dict[str, Dict[str, Any]]:
 
 
 def current_phase(jm) -> str:
-    """Best-effort name of the protocol phase the job is currently in,
-    derived from the recovery bookkeeping (no extra instrumentation)."""
+    """The protocol phase the job is in: the last ``phase-begin`` or
+    ``phase-mark`` the bus recorded for a recovering task or the whole job
+    (``"*"``), else where the job stands."""
     if jm.recovering_tasks:
-        recovering = set(jm.recovering_tasks)
-        for _when, kind, who in reversed(jm.recovery_events):
-            if who in recovering and not kind.startswith("chaos:"):
-                return kind
+        subjects = {*jm.recovering_tasks, "*"}
+        for event in reversed(jm.trace.events):
+            opens = event.kind in ("phase-begin", "phase-mark")
+            if opens and event.subject in subjects:
+                return event.arg("phase")
         return "recovering"
     if jm.dead_tasks:
         return "failed:awaiting-recovery"

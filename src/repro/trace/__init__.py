@@ -3,23 +3,25 @@
 The paper evaluates recovery end-to-end (Section 7.4); its protocol is a
 six-phase sequence (Section 6).  This package makes the phases visible:
 
-* :mod:`repro.trace.events` — structured, sim-time-stamped event bus; every
-  :class:`~repro.runtime.jobmanager.JobManager` carries one
-  (:attr:`JobManager.trace`) and the instrumented layers append to it.
-* :mod:`repro.trace.spans` — span tree modelling
-  job → epoch → recovery-incident → protocol-phase.
+* :mod:`repro.trace.events` — the structured, sim-time-stamped event bus,
+  always on; every :class:`~repro.runtime.jobmanager.JobManager` carries one
+  (:attr:`JobManager.trace`), the instrumented layers emit to it, and its
+  :data:`~repro.trace.events.EVENT_KINDS` table declares what the trace view
+  and the recovery view record of each kind.
 * :mod:`repro.trace.timeline` — reconstructs per-incident phase breakdowns
   from raw events; phase durations sum to the end-to-end recovery time
   :func:`repro.metrics.collectors.recovery_time` reports.
 * :mod:`repro.trace.export` — JSONL and Chrome-trace/Perfetto JSON exporters
-  (deterministic for a fixed seed).
+  (deterministic for a fixed seed); the Chrome document's spans nest
+  job → epoch → recovery-incident → protocol-phase.
 * :mod:`repro.trace.profiler` — wall-clock self-time per sim process/handler
   (opt-in, never visible to dataflow logic).
 
-Tracing is **passive**: recording appends sim-time-stamped tuples to Python
+The bus is **passive**: recording appends sim-time-stamped tuples to Python
 lists and never schedules events, reads clocks visible to operators, or
-perturbs RNG streams — enabling it leaves sink output byte-identical (see
-``tests/trace/test_passivity.py``).
+perturbs RNG streams.  ``tests/trace/test_passivity.py`` runs the same
+experiment with every row of the table untraced and asserts byte-identical
+sink output, failures and recovery view.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from importlib import import_module
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from repro.trace.events import TraceEvent, TraceLog, tracing
+    from repro.trace.events import TraceEvent, TraceLog
     from repro.trace.export import (
         chrome_trace,
         events_to_jsonl,
@@ -37,7 +39,6 @@ if TYPE_CHECKING:
         write_jsonl,
     )
     from repro.trace.profiler import SimProfiler, merge_profiles, profiling
-    from repro.trace.spans import Span, build_span_tree
     from repro.trace.timeline import (
         JobTimeline,
         Phase,
@@ -51,14 +52,13 @@ if TYPE_CHECKING:
 #: so the runtime's import of :mod:`repro.trace.events` does not pull in the
 #: exporters, profiler and timeline tooling.
 _EXPORTS = {
-    **dict.fromkeys(("TraceEvent", "TraceLog", "tracing"), "events"),
+    **dict.fromkeys(("TraceEvent", "TraceLog"), "events"),
     **dict.fromkeys(
         ("chrome_trace", "events_to_jsonl", "validate_chrome_trace",
          "write_chrome_trace", "write_jsonl"),
         "export",
     ),
     **dict.fromkeys(("SimProfiler", "merge_profiles", "profiling"), "profiler"),
-    **dict.fromkeys(("Span", "build_span_tree"), "spans"),
     **dict.fromkeys(
         ("JobTimeline", "Phase", "RecoveryIncident", "breakdown_extra_info",
          "build_timeline", "timeline_of"),
@@ -79,9 +79,6 @@ def __getattr__(name: str) -> Any:
 __all__ = [
     "TraceEvent",
     "TraceLog",
-    "tracing",
-    "Span",
-    "build_span_tree",
     "JobTimeline",
     "Phase",
     "RecoveryIncident",

@@ -6,11 +6,25 @@ JSON with ``sort_keys=True`` and fixed separators, so two same-seed runs
 produce byte-identical files (asserted by the ``trace-smoke`` CI job).
 
 The Chrome-trace document follows the Trace Event Format: complete spans
-(``"ph": "X"``) for job/epoch/checkpoint/incident/phase spans, instant
-events (``"ph": "i"``) for faults/detections/violations, and metadata
-records (``"ph": "M"``) naming the process and per-task threads.  Sim
-seconds map to microsecond timestamps (``ts = time * 1e6``), the unit the
-format expects, so a Perfetto/``chrome://tracing`` load shows real sim time.
+(``"ph": "X"``), instant events (``"ph": "i"``) for faults/detections/
+violations, and metadata records (``"ph": "M"``) naming the process and
+per-task threads.  Sim seconds map to microsecond timestamps
+(``ts = time * 1e6``), the unit the format expects, so a
+Perfetto/``chrome://tracing`` load shows real sim time.
+
+The spans are derived *post hoc* from the trace and its
+:class:`~repro.trace.timeline.JobTimeline` (nothing in the sim holds a span
+open, so a run that dies mid-recovery still exports the part that ran), in
+this order:
+
+* the **job** span covers ``[0, end]``, ``end`` being the run's duration or
+  its last event or incident end, whichever is latest;
+* **epoch** spans tile the job span between consecutive
+  ``checkpoint-complete`` boundaries;
+* **checkpoint** spans cover trigger → completion/abort of each cut;
+* **incident** spans cover ``[failure_time, end_time]`` of each
+  :class:`~repro.trace.timeline.RecoveryIncident`, each followed by one span
+  per protocol :class:`~repro.trace.timeline.Phase`, on the victim's thread.
 """
 
 from __future__ import annotations
@@ -20,7 +34,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.trace.events import EVENT_KINDS, TraceEvent, TraceLog
-from repro.trace.spans import Span, build_span_tree
 from repro.trace.timeline import JobTimeline
 
 _JSON_KW = {"sort_keys": True, "separators": (",", ":")}
@@ -57,23 +70,83 @@ def _tid_map(trace: TraceLog, timeline: JobTimeline) -> Dict[str, int]:
     return {name: tid for tid, name in enumerate(sorted(subjects), start=_JOB_TID + 1)}
 
 
-def _span_events(root: Span, tids: Dict[str, int]) -> List[Dict[str, Any]]:
-    records = []
-    for span in root.walk():
-        subject = span.args.get("victim", "")
-        tid = tids.get(subject, _JOB_TID)
-        record: Dict[str, Any] = {
-            "ph": "X",
-            "pid": _PID,
-            "tid": tid,
-            "name": span.name,
-            "cat": span.category,
-            "ts": _us(span.start),
-            "dur": max(0.0, _us(span.end) - _us(span.start)),
-        }
-        if span.args:
-            record["args"] = dict(span.args)
-        records.append(record)
+def _complete(
+    name: str,
+    category: str,
+    start: float,
+    end: float,
+    tid: int = _JOB_TID,
+    args: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    record: Dict[str, Any] = {
+        "ph": "X",
+        "pid": _PID,
+        "tid": tid,
+        "name": name,
+        "cat": category,
+        "ts": _us(start),
+        "dur": max(0.0, _us(end) - _us(start)),
+    }
+    if args:
+        record["args"] = args
+    return record
+
+
+def _span_events(
+    trace: TraceLog, timeline: JobTimeline, tids: Dict[str, int], job_name: str
+) -> List[Dict[str, Any]]:
+    end = timeline.duration if timeline.duration is not None else 0.0
+    for event in trace:
+        end = max(end, event.time)
+    for incident in timeline.incidents:
+        end = max(end, incident.end_time)
+    records = [_complete(job_name, "job", 0.0, end)]
+
+    boundaries = [0.0]
+    for checkpoint in timeline.checkpoints:
+        if checkpoint.status == "complete" and checkpoint.completed is not None:
+            boundaries.append(checkpoint.completed)
+    boundaries.append(end)
+    epochs = [(left, right) for left, right in zip(boundaries, boundaries[1:])
+              if right > left]
+    for epoch, (left, right) in enumerate(epochs):
+        records.append(
+            _complete(f"epoch {epoch}", "epoch", left, right, args={"epoch": epoch})
+        )
+
+    for checkpoint in timeline.checkpoints:
+        records.append(_complete(
+            f"checkpoint {checkpoint.checkpoint_id}",
+            "checkpoint",
+            checkpoint.triggered,
+            end if checkpoint.completed is None else checkpoint.completed,
+            args={
+                "checkpoint_id": checkpoint.checkpoint_id,
+                "status": checkpoint.status,
+            },
+        ))
+
+    for incident in timeline.incidents:
+        tid = tids.get(incident.victim, _JOB_TID)
+        records.append(_complete(
+            f"recover {incident.victim}",
+            "recovery-incident",
+            incident.failure_time,
+            incident.end_time,
+            tid,
+            {
+                "incident": incident.index,
+                "victim": incident.victim,
+                "end_source": incident.end_source,
+                "retries": incident.retries,
+                "degraded": incident.degraded,
+            },
+        ))
+        for phase in incident.phases:
+            records.append(_complete(
+                phase.name, "recovery-phase", phase.start, phase.end, tid,
+                {"incident": incident.index, "victim": incident.victim},
+            ))
     return records
 
 
@@ -105,7 +178,6 @@ def chrome_trace(
 ) -> Dict[str, Any]:
     """Build the Chrome-trace/Perfetto document for one run."""
 
-    root = build_span_tree(trace, timeline, job_name=job_name)
     tids = _tid_map(trace, timeline)
 
     events: List[Dict[str, Any]] = [
@@ -134,7 +206,7 @@ def chrome_trace(
                 "args": {"name": subject},
             }
         )
-    events.extend(_span_events(root, tids))
+    events.extend(_span_events(trace, timeline, tids, job_name))
     events.extend(_instant_events(trace, tids))
 
     other: Dict[str, Any] = {"generator": "repro.trace", "time_unit": "sim-seconds"}

@@ -24,6 +24,7 @@ from repro.chaos.experiment import SoakJob, fast_chaos_config, grade, run_experi
 from repro.config import JobConfig, WatchdogConfig
 from repro.errors import JobError, RecoveryStallError
 from repro.recovery.watchdog import RecoveryWatchdog
+from repro.trace.timeline import PHASE_ORDER
 
 LIMIT = 120.0
 
@@ -64,6 +65,30 @@ class TestStallDetection:
         assert any(
             isinstance(exc, RecoveryStallError) for (_n, exc) in jm.crashed
         )
+
+    def test_stall_names_the_phase_the_bus_recorded(self):
+        obs = frozen_run()
+        stalls = [
+            kind.split(":", 1)[1]
+            for (_t, kind, _w) in obs.jm.recovery_events
+            if kind.startswith("recovery-stalled:")
+        ]
+        known = set(PHASE_ORDER) | {
+            "recovering", "failed:awaiting-recovery", "post-recovery-drain",
+            "finished",
+        }
+        assert stalls and all(phase in known for phase in stalls)
+        assert obs.error.phase in known
+        # The first stall names the victim's open phase in the trace view.
+        markers = []
+        for event in obs.jm.trace:
+            if event.kind == "recovery-stalled":
+                break
+            if event.kind in ("phase-begin", "phase-mark") and event.subject in (
+                "stage1[0]", "*",
+            ):
+                markers.append(event.arg("phase"))
+        assert stalls[0] == markers[-1] == "nondeterminism-replay"
 
     def test_stall_verdict_surfaces_in_metrics(self):
         from repro.metrics.collectors import stall_summary

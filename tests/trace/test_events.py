@@ -1,6 +1,6 @@
 """TraceLog / TraceEvent unit behaviour."""
 
-from repro.trace import TraceLog, tracing
+from repro.trace import TraceLog
 
 
 def test_emit_appends_in_call_order():
@@ -27,36 +27,8 @@ def test_args_are_canonically_sorted_and_queryable():
     }
 
 
-def test_events_of_filters_by_kind():
+def test_untraced_kind_records_only_the_recovery_view():
     log = TraceLog()
-    log.emit(0.0, "checkpoint-triggered", "*", checkpoint_id=1)
-    log.emit(0.1, "snapshot-taken", "map[0]", checkpoint_id=1)
-    log.emit(0.2, "checkpoint-complete", "*", checkpoint_id=1)
-    got = log.events_of("checkpoint-triggered", "checkpoint-complete")
-    assert [event.kind for event in got] == [
-        "checkpoint-triggered",
-        "checkpoint-complete",
-    ]
-
-
-def test_disabled_log_records_nothing():
-    log = TraceLog(enabled=False)
-    log.emit(0.0, "failure-injected", "join[0]")
+    log.emit(0.0, "suspected", "join[0]", misses=2)
     assert len(log) == 0
-
-
-def test_tracing_context_flips_default_and_restores():
-    assert TraceLog.default_enabled is True
-    with tracing(False):
-        assert TraceLog().enabled is False
-        # An explicit flag still wins over the default.
-        assert TraceLog(enabled=True).enabled is True
-    assert TraceLog.default_enabled is True
-    assert TraceLog().enabled is True
-
-
-def test_clear_empties_the_log():
-    log = TraceLog()
-    log.emit(0.0, "chaos-fault", "net", fault="partition")
-    log.clear()
-    assert list(log) == []
+    assert log.recovery == [(0.0, "suspected:2", "join[0]")]

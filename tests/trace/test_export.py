@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.trace import (
-    build_span_tree,
     chrome_trace,
     events_to_jsonl,
     timeline_of,
@@ -14,7 +13,6 @@ from repro.trace import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.trace.spans import span_summary
 
 from tests.trace.conftest import SMALL_FIG6, tiny_failure_run
 
@@ -62,18 +60,28 @@ def test_validator_rejects_malformed_documents():
 def test_span_tree_nests_incident_phases(clonos_run):
     result = clonos_run.result
     timeline = timeline_of(result)
-    root = build_span_tree(result.jm.trace, timeline, job_name="fig6")
-    counts = span_summary(root)
+    document = chrome_trace(result.jm.trace, timeline, job_name="fig6")
+    spans = [e for e in document["traceEvents"] if e["ph"] == "X"]
+    counts = {}
+    for span in spans:
+        counts[span["cat"]] = counts.get(span["cat"], 0) + 1
     assert counts["job"] == 1
+    assert spans[0]["cat"] == "job" and spans[0]["name"] == "fig6"
     assert counts["recovery-incident"] == len(timeline.incidents)
     assert counts["recovery-phase"] == sum(
         len(incident.phases) for incident in timeline.incidents
     )
     assert counts["epoch"] >= 1 and counts["checkpoint"] >= 1
-    incidents = [s for s in root.children if s.category == "recovery-incident"]
-    for node in incidents:
-        for phase in node.children:
-            assert node.start <= phase.start <= phase.end <= node.end + 1e-9
+    # Each incident span is followed by its phases, on the victim's thread.
+    incident = None
+    for span in spans:
+        if span["cat"] == "recovery-incident":
+            incident = span
+        elif span["cat"] == "recovery-phase":
+            assert span["args"]["incident"] == incident["args"]["incident"]
+            assert span["tid"] == incident["tid"] != 0
+            assert incident["ts"] <= span["ts"]
+            assert span["ts"] + span["dur"] <= incident["ts"] + incident["dur"] + 1e-3
 
 
 def test_exports_are_deterministic_across_same_seed_runs():

@@ -1,13 +1,15 @@
 """Passivity guarantee (DESIGN.md): observability must never perturb the sim.
 
-The same seeded failure experiment runs with tracing on, tracing off, and the
-profiler attached; the sink output, failure record, and recovery events must
-be identical in every configuration.
+The same seeded failure experiment runs with the event table as declared,
+with every row of it untraced (the trace view then records nothing), and
+with the profiler attached; the sink output, failure record, recovery view
+and duration must be identical in every configuration.
 """
 
+import dataclasses
 import hashlib
 
-from repro.trace import profiling, tracing
+from repro.trace import events, profiling
 
 from tests.trace.conftest import tiny_failure_run
 
@@ -24,11 +26,14 @@ def _digest(result):
     return hashlib.sha256(material.encode()).hexdigest()
 
 
-def test_tracing_off_leaves_sink_output_byte_identical():
-    with tracing(True):
-        traced = tiny_failure_run()
-    with tracing(False):
-        untraced = tiny_failure_run()
+def test_untraced_table_leaves_the_run_byte_identical(monkeypatch):
+    traced = tiny_failure_run()
+    untraced_table = {
+        kind: dataclasses.replace(spec, traced=False)
+        for kind, spec in events.EVENT_KINDS.items()
+    }
+    monkeypatch.setattr(events, "EVENT_KINDS", untraced_table)
+    untraced = tiny_failure_run()
     assert len(traced.jm.trace) > 0
     assert len(untraced.jm.trace) == 0
     assert _digest(traced) == _digest(untraced)
