@@ -13,6 +13,7 @@ from repro.runtime.cluster import Cluster
 from repro.runtime.jobmanager import JobManager
 from repro.runtime.task import TaskStatus
 from repro.sim.core import Environment
+from repro.trace import build_timeline, chrome_trace
 from repro.workloads.synthetic import synthetic_chain
 
 from tests.runtime.helpers import make_config, sink_values
@@ -157,6 +158,37 @@ def test_standby_activation_when_standbys_node_has_failed():
     origins = Counter((v[0], v[1]) for v in sink_values(log))
     assert len(origins) == 2 * 2500
     assert all(c == 1 for c in origins.values())
+
+
+def test_slot_pressure_eviction_is_recorded_apart_from_a_lost_standby():
+    # Ten tasks and ten standbys fill the cluster exactly.  A dead node
+    # takes two standbys with it, and its tasks' restarts evict three more
+    # for their slots.  Every view names the eviction for what it is.
+    config = make_config(FaultToleranceMode.CLONOS)
+    env, log, jm = deploy_chain(
+        config, n_records=1000, cluster=Cluster(num_nodes=4, slots_per_node=5)
+    )
+    node = jm.vertices["stage2[0]"].node_id
+    env.schedule_callback(0.3, lambda: jm.kill_node(node, force=True, fail_node=True))
+    jm.run_until_done(limit=600)
+
+    def who(events, kind):
+        return sorted(subject for (_t, k, subject) in events if k == kind)
+
+    lost, evicted = ["stage1[0]", "stage3[0]"], ["sink[0]", "src[0]", "stage2[0]"]
+    assert who(jm.recovery_events, "standby-lost") == lost
+    assert who(jm.recovery_events, "standby-evicted") == evicted
+    trace = [(e.time, e.kind, e.subject) for e in jm.trace]
+    assert who(trace, "standby-lost") == lost
+    assert who(trace, "standby-evicted") == evicted
+    document = chrome_trace(jm.trace, build_timeline(jm.trace))
+    instants = [
+        (None, e["name"], e["args"]["subject"])
+        for e in document["traceEvents"] if e["ph"] == "i"
+    ]
+    assert who(instants, "standby-evicted") == evicted
+    # The dead node hosted the plain (at-least-once) sink: nothing is lost.
+    assert len({(v[0], v[1]) for v in sink_values(log)}) == 2 * 1000
 
 
 def test_incremental_checkpoints_write_less_dfs_data():
