@@ -23,7 +23,7 @@ from repro.errors import ReproError
 from repro.harness.reporters import render_table
 from repro.integrity.soak import run_integrity_experiment
 from repro.metrics.collectors import recovery_summary, scenario_summary
-from repro.scenarios import SCENARIOS, run_scenario
+from repro.scenarios import SCENARIOS, case_label, run_scenario
 from repro.transparency.explorer import (
     default_topologies,
     failure_points,
@@ -123,13 +123,12 @@ GATES: Dict[str, Gate] = {
         columns=("scenario", "verdict", "dur", "overhead", "lost", "dup",
                  "degr", "recovery", "failed checks"),
         cases=lambda seeds: [
-            (scenario.name if seed is None else f"{scenario.name}/{seed}",
-             partial(run_scenario, scenario, seed))
+            (case_label(scenario, seed), partial(run_scenario, scenario, seed))
             for seed in ([None] if seeds is None else seeds)
             for scenario in SCENARIOS
         ],
         rows=lambda results: [
-            (r.name, r.outcome, f"{r.obs.duration:.2f}s",
+            (r.label, r.outcome, f"{r.obs.duration:.2f}s",
              f"{r.duration_overhead:.2f}x", r.missing, r.duplicated,
              len(r.obs.degradations),
              "-" if r.recovery_time is None else f"{r.recovery_time:.3f}s",

@@ -16,7 +16,7 @@ from repro.scenarios.model import (
     VerdictSpec,
     WorkloadSpec,
 )
-from repro.scenarios.runner import ScenarioResult, run_scenario
+from repro.scenarios.runner import ScenarioResult, case_label, run_scenario
 from repro.scenarios.library import SCENARIOS, scenario_by_name
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "VerdictSpec",
     "WorkloadSpec",
     "ScenarioResult",
+    "case_label",
     "run_scenario",
     "SCENARIOS",
     "scenario_by_name",

@@ -43,7 +43,8 @@ class ScenarioResult(FaultResult):
 
     @property
     def name(self) -> str:
-        return self.label
+        """The scenario's name: the label without its ``/<seed>``."""
+        return self.label.partition("/")[0]
 
     @property
     def verdict(self) -> str:
@@ -125,6 +126,12 @@ def _recovery_spans(
     return spans
 
 
+def case_label(scenario: Scenario, seed: Optional[int] = None) -> str:
+    """The label that replays one run: the name, then ``/<seed>`` when a
+    seed overrides the scenario's own."""
+    return scenario.name if seed is None else f"{scenario.name}/{seed}"
+
+
 def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> ScenarioResult:
     """Run one scenario and grade it against its verdict spec."""
     scenario.validate()
@@ -139,7 +146,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> ScenarioResu
         job, scenario.fault_plan(seed=run_seed), config, scenario.limit
     )
     result = grade(
-        scenario.name, obs, strict=not spec.allow_announced_divergence
+        case_label(scenario, seed), obs, strict=not spec.allow_announced_divergence
     )
 
     checks = {

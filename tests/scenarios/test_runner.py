@@ -68,6 +68,27 @@ def test_impossible_recovery_budget_fails_the_verdict():
     assert result.checks["output"] == "ok"  # still exactly-once
 
 
+def test_a_seeded_run_is_labelled_by_the_case_that_replays_it(capsys):
+    from repro.harness.gates import report
+
+    strict = Scenario(
+        name="too-strict",
+        description="",
+        phases=SMALL.phases,
+        workload=SMALL.workload,
+        verdict=VerdictSpec(max_recovery_s=0.0001),
+    )
+    result = run_scenario(strict, seed=7)
+    assert result.label == "too-strict/7"
+    assert result.name == result.to_dict()["name"] == "too-strict"
+    assert run_scenario(SMALL).label == "small-kill"
+    assert report("scenarios", [result]) == 1
+    out = capsys.readouterr().out
+    # The row and the violations tally both name the case to pass --case.
+    assert any(line.startswith("too-strict/7 ") for line in out.splitlines()), out
+    assert out.rstrip().endswith("1 violations (too-strict/7)"), out
+
+
 def test_result_dict_shape():
     result = run_scenario(SMALL)
     data = result.to_dict()
