@@ -180,20 +180,6 @@ def recovery_summary(
     }
 
 
-def integrity_summary(jm) -> dict:
-    """Per-artifact validation counters for one run: everything the
-    :class:`~repro.integrity.monitor.IntegrityMonitor` verified or flagged,
-    plus the integrity events the recovery ladder recorded (epoch fallbacks,
-    invalidated epochs, timeline rewinds).  Flat dict, benchmark
-    ``extra_info``-friendly."""
-    summary = jm.integrity.summary()
-    summary["integrity_events"] = count_events(jm.recovery_events, "integrity:")
-    summary["epoch_fallbacks"] = count_events(
-        jm.recovery_events, "integrity:epoch-fallback"
-    )
-    return summary
-
-
 def stall_summary(jm) -> dict:
     """Recovery-liveness verdict for one run, benchmark ``extra_info``-
     friendly: ``verdict`` is ``"stalled"`` iff the watchdog detected a
