@@ -5,7 +5,9 @@ Every ``python -m repro ...`` command in the repository's Markdown files
 usage lines of ``repro.cli``'s docstring must parse with the real parser.
 A usage form (``[--only NAMES]``, ``a | b``, ``<placeholder>``) cannot be
 parsed as written, so only its verb and its ``--flags`` are checked.  Every
-backticked dotted ``repro.…`` name must import or resolve as an attribute.
+backticked dotted ``repro.…`` name must import or resolve as an attribute,
+and every ``tests/…::name`` or ``benchmarks/…::name`` must name an existing
+file and a top-level ``def``, ``class`` or assignment in it.
 
 At the root only the reference documents (README, DESIGN, EXPERIMENTS) are
 checked: the other root documents are plans and history that quote the
@@ -13,6 +15,7 @@ commands of their day.  Documents in subdirectories are all checked.
 """
 
 import argparse
+import ast
 import contextlib
 import importlib
 import io
@@ -30,6 +33,7 @@ FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 SPAN = re.compile(r"`([^`]+)`")
 COMMAND = re.compile(r"python -m repro\b(.*)")
 DOTTED = re.compile(r"(?<![\w/.])repro(?:\.\w+)+")
+REFERENCE = re.compile(r"(?<![\w/.])((?:tests|benchmarks)/[\w/.-]+?\.py)::(\w+)")
 
 
 def documents():
@@ -65,6 +69,32 @@ def commands_and_names(path):
             commands.append((line, match.group(1)))
         names.extend((line, name) for name in DOTTED.findall(body))
     return commands, names
+
+
+def top_level_names(source):
+    names = set()
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def stale_references(path, where):
+    """How many ``tests/…::name`` references one document makes, and a
+    ``where:line: reference`` line for each that names no file or no
+    top-level name in it."""
+    text = path.read_text()
+    references = list(REFERENCE.finditer(text))
+    stale = [
+        f"{where}:{line_of(text, match.start())}: {match.group()}"
+        for match in references
+        for source in [ROOT / match.group(1)]
+        if not source.is_file() or match.group(2) not in top_level_names(source)
+    ]
+    return len(references), stale
 
 
 def cli_usage_lines():
@@ -144,3 +174,22 @@ def test_documented_dotted_names_resolve():
                 failures.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert checked >= 30, checked
     assert not failures, "\n".join(failures)
+
+
+def test_documented_test_references_exist():
+    checked, failures = 0, []
+    for path in documents():
+        count, stale = stale_references(path, path.relative_to(ROOT))
+        checked += count
+        failures.extend(stale)
+    assert checked >= 7, checked
+    assert not failures, "\n".join(failures)
+
+
+def test_a_stale_test_reference_fails_with_its_file_and_line(tmp_path):
+    planted = tmp_path / "PLANTED.md"
+    module = "tests/trace/test_passivity.py"
+    gone = f"{module}::test_tracing_off_leaves_sink_output_byte_identical"
+    kept = f"{module}::test_profiler_leaves_sink_output_byte_identical"
+    planted.write_text(f"Passivity:\n\n- `{kept}`;\n- `{gone}`.\n")
+    assert stale_references(planted, "PLANTED.md") == (2, [f"PLANTED.md:4: {gone}"])
