@@ -17,28 +17,16 @@ RESULTS_PATH = Path(__file__).parent / "latest_results.txt"
 
 @lru_cache(maxsize=1)
 def _lint_status() -> str:
-    """NDLint verdict over the Nexmark queries a benchmark run exercises
-    (computed once per session; recorded in every benchmark's extra_info so
-    a regression that sneaks nondeterminism into the workloads is visible
-    next to the numbers it would corrupt)."""
-    try:
-        from repro.analysis import lint_graph
-        from repro.external.kafka import DurableLog
-        from repro.nexmark.queries import QUERIES
+    """The static causal-coverage verdict over ``src/repro``, the Nexmark
+    queries included (computed once per session; recorded in every
+    benchmark's extra_info so a regression that sneaks nondeterminism into
+    the workloads is visible next to the numbers it would corrupt).  Nothing
+    is caught: the analyzer reports a broken tree as findings, and a renamed
+    entry point must fail the session rather than read as a verdict."""
+    from repro.analysis.causal import analyze_tree
 
-        class _Probe:
-            def get_now(self, key):
-                return key
-
-        errors = 0
-        for name in sorted(QUERIES):
-            graph = QUERIES[name](
-                DurableLog(), external=_Probe() if name == "Q13" else None
-            )
-            errors += len(lint_graph(graph).errors)
-        return "clean" if errors == 0 else f"{errors} errors"
-    except Exception as exc:  # pragma: no cover - keep benchmarks running
-        return f"unavailable ({type(exc).__name__})"
+    report = analyze_tree()
+    return "clean" if report.ok else f"{len(report.findings)} findings"
 
 
 #: The fault-gate cases every benchmark records a verdict for: a handful of
@@ -53,9 +41,9 @@ GATE_PROBES = {
 @lru_cache(maxsize=None)
 def _gate_status(gate: str) -> str:
     """One fault gate's verdict over its probe cases (computed once per
-    session; recorded in every benchmark's extra_info next to the NDLint
-    verdict, so a recovery regression that would corrupt the failure
-    experiments is visible in the saved numbers).  A red case reproduces
+    session; recorded in every benchmark's extra_info next to the
+    static-analysis verdict, so a recovery regression that would corrupt the
+    failure experiments is visible in the saved numbers).  A red case reproduces
     locally with ``python -m repro gates --only <gate> --case <label>
     --verbose``."""
     try:
@@ -121,14 +109,14 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run a whole experiment exactly once under the benchmark timer.
 
     The run is traced by the determinism sanitizer: its combined schedule
-    hash (and the session's NDLint verdict) land in ``extra_info``, so two
-    benchmark runs of the same code can be checked for schedule divergence
-    straight from the saved JSON."""
+    hash (and the session's static-analysis verdict) land in
+    ``extra_info``, so two benchmark runs of the same code can be checked
+    for schedule divergence straight from the saved JSON."""
     from repro.analysis.sanitizer import combined_digest, traced_environments
 
     with traced_environments(keep_trace=False) as tracers:
         result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-    benchmark.extra_info["ndlint"] = _lint_status()
+    benchmark.extra_info["verify_static"] = _lint_status()
     for gate in GATE_PROBES:
         benchmark.extra_info[gate] = _gate_status(gate)
     benchmark.extra_info["audit"] = _audit_status()

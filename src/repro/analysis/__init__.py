@@ -1,17 +1,18 @@
-"""``repro.analysis``: NDLint + the runtime determinism sanitizer.
+"""``repro.analysis``: the static causal-coverage analyzer + the runtime
+determinism sanitizer.
 
 Clonos' exactly-once guarantee holds only if *every* source of nondeterminism
 in a UDF is intercepted by the causal services layer and logged as a
 determinant (§4).  This package converts that assumption into an enforced
 property:
 
-* **NDLint** (static): :func:`lint_graph` resolves every operator callable on
-  a :class:`~repro.graph.logical.JobGraph` and flags un-intercepted
-  nondeterminism — wall-clock reads, module-level RNG, direct I/O, unordered
-  iteration, shared mutable closures — each mapped to the determinant type
-  that should have captured it.  Wired into
-  :meth:`repro.runtime.jobmanager.JobManager.submit` (``lint="warn"|"strict"``)
-  and ``python -m repro lint``.
+* **Analyzer** (static, :mod:`repro.analysis.causal`): follows every
+  nondeterminism source — wall-clock reads, module-level RNG, direct
+  external calls, ambient reads, hash-ordered iteration, closure state — in
+  the framework, the Nexmark queries and the examples to the replayable
+  state or output it reaches without a determinant (ND201/ND202), and
+  checks determinant liveness (ND203) and the recovery-phase protocol
+  (ND210).  Wired into ``python -m repro verify-static``.
 * **Sanitizer** (runtime): :func:`double_run` executes a job twice from the
   same seed, compares rolling schedule hashes, and reports the first
   divergent event; :data:`SANITIZER` checks protocol invariants online
@@ -25,16 +26,7 @@ from importlib import import_module
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from repro.analysis.engine import (
-        dedupe_reports,
-        lint_callable,
-        lint_file,
-        lint_graph,
-        resolve_callables,
-    )
     from repro.analysis.invariants import SANITIZER, RuntimeSanitizer, Violation
-    from repro.analysis.report import Finding, LintReport
-    from repro.analysis.rules import ALL_RULES, RULES_BY_KEY, Rule
     from repro.analysis.sanitizer import (
         Divergence,
         SanitizeReport,
@@ -46,16 +38,9 @@ if TYPE_CHECKING:
 
 #: Re-exported name -> defining submodule.  Loaded on first access (PEP 562),
 #: so the runtime's import of :mod:`repro.analysis.invariants` does not pull
-#: in the linter.
+#: in the sanitizer.
 _EXPORTS = {
-    **dict.fromkeys(
-        ("dedupe_reports", "lint_callable", "lint_file", "lint_graph",
-         "resolve_callables"),
-        "engine",
-    ),
     **dict.fromkeys(("SANITIZER", "RuntimeSanitizer", "Violation"), "invariants"),
-    **dict.fromkeys(("Finding", "LintReport"), "report"),
-    **dict.fromkeys(("ALL_RULES", "RULES_BY_KEY", "Rule"), "rules"),
     **dict.fromkeys(
         ("Divergence", "SanitizeReport", "ScheduleTracer", "combined_digest",
          "double_run", "traced_environments"),
@@ -74,12 +59,7 @@ def __getattr__(name: str) -> Any:
 
 
 __all__ = [
-    "ALL_RULES",
     "Divergence",
-    "Finding",
-    "LintReport",
-    "Rule",
-    "RULES_BY_KEY",
     "RuntimeSanitizer",
     "SANITIZER",
     "SanitizeReport",
@@ -87,10 +67,5 @@ __all__ = [
     "Violation",
     "combined_digest",
     "double_run",
-    "dedupe_reports",
-    "lint_callable",
-    "lint_file",
-    "lint_graph",
-    "resolve_callables",
     "traced_environments",
 ]

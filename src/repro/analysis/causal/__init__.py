@@ -1,16 +1,19 @@
-"""repro.analysis.causal — the interprocedural causal-coverage analyzer.
+"""repro.analysis.causal — the static causal-coverage analyzer.
 
-NDLint (ND101–ND107) flags nondeterministic *call sites* one function at a
-time.  This package proves the whole-program property behind them: every
-nondeterminism source either flows through determinant logging before it
-reaches replayable state or emitted output, every recorded determinant is
-actually consumed on replay, and the recovery coordinators' phase emissions
-keep the PR-5 timeline invariant on every code path.  Rules:
+It proves, for a source tree or one file, the property Clonos' exactly-once
+guarantee rests on: every nondeterminism source — in the framework or in a
+UDF, a lambda, a key selector, a closure — flows through determinant
+logging before it reaches replayable state or emitted output, every
+recorded determinant is actually consumed on replay, and the recovery
+coordinators' phase emissions stay well-nested on every code path.  Rules:
 
 * **ND201** — unlogged nondeterminism reaches replayable state.
 * **ND202** — unlogged nondeterminism reaches sink output.
 * **ND203** — dead determinant: recorded but never replayed.
 * **ND210** — phase-begin/phase-end not well-nested on some exit edge.
+
+A finding whose line carries ``# ndlint: disable=<rule>`` is reported as
+suppressed and does not fail the gate.
 
 Entry point::
 
@@ -79,6 +82,7 @@ class CausalReport:
     root: str
     findings: List[CausalFinding] = field(default_factory=list)
     exempted: List[Tuple[CausalFinding, Exemption]] = field(default_factory=list)
+    suppressed: List[CausalFinding] = field(default_factory=list)
     parse_errors: List[str] = field(default_factory=list)
     stats: Dict[str, float] = field(default_factory=dict)
 
@@ -93,8 +97,9 @@ class CausalReport:
         return dict(sorted(out.items()))
 
     def _rel(self, path: str) -> str:
+        base = self.root if os.path.isdir(self.root) else os.path.dirname(self.root)
         try:
-            return os.path.relpath(path, self.root)
+            return os.path.relpath(path, base)
         except ValueError:
             return path
 
@@ -129,6 +134,12 @@ class CausalReport:
                     f"{self._rel(finding.file)}:{finding.line} — "
                     f"{exemption.reason}"
                 )
+        if self.suppressed:
+            lines.append(f"suppressed ({len(self.suppressed)}):")
+            lines.extend(
+                f"  {f.rule.rule_id} {self._rel(f.file)}:{f.line}"
+                for f in self.suppressed
+            )
         lines.append("status: " + ("clean" if self.ok else "FINDINGS"))
         return "\n".join(lines)
 
@@ -167,6 +178,10 @@ class CausalReport:
                 }
                 for f, e in self.exempted
             ],
+            "suppressed": [
+                {"rule": f.rule.rule_id, "file": self._rel(f.file), "line": f.line}
+                for f in self.suppressed
+            ],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -181,9 +196,10 @@ def analyze_tree(
     consumer_suffixes: Tuple[str, ...] = REPLAY_CONSUMER_SUFFIXES,
     use_allowlist: bool = True,
 ) -> CausalReport:
-    """Run the full analyzer (taint + deadness + phases) over ``root``."""
+    """Run the full analyzer (taint + deadness + phases) over ``root``, a
+    directory or one ``.py`` file."""
     root = Path(root) if root is not None else _default_root()
-    started = time.perf_counter()  # ndlint: disable=ND101 — analyzer timing
+    started = time.perf_counter()
     index = ModuleIndex(root, package=package)
     taint_findings, iterations = analyze_taint(index)
     dead_findings = analyze_deadness(index, consumer_suffixes=consumer_suffixes)
@@ -192,6 +208,8 @@ def analyze_tree(
         taint_findings + dead_findings + phase_findings,
         key=lambda f: (f.file, f.line, f.rule.rule_id),
     )
+    suppressed = [f for f in all_findings if f.suppressed]
+    all_findings = [f for f in all_findings if not f.suppressed]
     if use_allowlist:
         live, exempted = partition(all_findings)
     else:
@@ -200,12 +218,13 @@ def analyze_tree(
         root=str(root),
         findings=live,
         exempted=exempted,
+        suppressed=suppressed,
         parse_errors=list(index.parse_errors),
     )
     report.stats = {
         "modules": len(index.modules),
         "functions": len(index.functions),
         "fixpoint_iterations": iterations,
-        "wall_clock_s": round(time.perf_counter() - started, 4),  # ndlint: disable=ND101
+        "wall_clock_s": round(time.perf_counter() - started, 4),
     }
     return report

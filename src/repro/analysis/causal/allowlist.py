@@ -1,7 +1,6 @@
 """The causal-analyzer allowlist: justified exemptions, each with a reason.
 
-Mirrors the discipline of :data:`repro.analysis.rules.FRAMEWORK_ALLOWLIST`:
-the exemption set is *seeded, named, and minimal*.  Every entry must carry a
+The exemption set is *seeded, named, and minimal*.  Every entry must carry a
 non-empty reason string — enforced at construction, so an unreasoned
 exemption cannot even be written — and the minimality regression test pins
 the exact contents of :data:`CAUSAL_ALLOWLIST`, so growing it is a reviewed
@@ -12,11 +11,13 @@ An entry exempts findings of one rule in files matching one path suffix
 from the report's ``findings`` to its ``exempted`` list — still visible in
 the report, never failing the gate.
 
-The current tree needs **no** exemptions: the one sanctioned
-nondeterminism source (the profiler's ``time.perf_counter`` reads, ND101
-FRAMEWORK_ALLOWLIST) never reaches replayable state or dataflow output, so
-the causal analyzer is clean on it without help.  The seeded set is
-therefore empty — the strongest statement of the coverage property.
+The current tree needs **no** exemptions.  The one sanctioned
+nondeterminism source, the sim profiler's ``time.perf_counter`` reads in
+``repro/trace/profiler.py``, attributes wall-clock self-time to sim
+processes; the readings never reach replayable state, dataflow output or a
+deterministic export, so the analyzer is clean on them without help.  The
+seeded set is therefore empty — the strongest statement of the coverage
+property.
 """
 
 from __future__ import annotations

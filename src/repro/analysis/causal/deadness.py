@@ -27,8 +27,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.causal.graph import ModuleIndex, ModuleInfo
-from repro.analysis.causal.model import CausalFinding, FlowStep, ND_DEAD
-from repro.analysis.rules import dotted_name
+from repro.analysis.causal.model import (
+    CausalFinding,
+    FlowStep,
+    ND_DEAD,
+    dotted_name,
+)
 
 #: Path suffixes of the modules whose code *consumes* determinants during
 #: replay.  A kind referenced in none of them is never replayed.

@@ -19,6 +19,12 @@ callee can be pinned down:
 
 Unresolved calls never create edges, so the graph under-approximates
 reachability rather than connecting everything to everything.
+
+Nested defs and lambdas are functions of their own, linked to the function
+that encloses them.  A callable handed to a call — every lambda, and a def
+passed by name — is a *UDF*: the framework consumes its return value.  A
+callable handed to a ``ctx.services`` call is not: it runs under that
+call's determinant.
 """
 
 from __future__ import annotations
@@ -26,9 +32,13 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.rules import dotted_name
+from repro.analysis.causal.model import (
+    SERVICE_CALL_SUFFIXES,
+    dotted_name,
+    match_suffix,
+)
 
 
 @dataclass
@@ -49,8 +59,12 @@ class FunctionInfo:
     module: str
     qualname: str
     file: str
-    node: ast.AST  # FunctionDef | AsyncFunctionDef
+    node: ast.AST  # FunctionDef | AsyncFunctionDef | Lambda
     class_name: Optional[str] = None
+    #: The function whose body defines this one (None at module/class level).
+    parent: Optional["FunctionInfo"] = None
+    #: Handed to a call as a callable: its return value is output.
+    udf: bool = False
 
     @property
     def fid(self) -> str:
@@ -91,7 +105,8 @@ class ModuleInfo:
 
 
 class ModuleIndex:
-    """Every ``*.py`` under ``root``, parsed and cross-linked."""
+    """Every ``*.py`` under ``root`` (or the one file ``root``), parsed and
+    cross-linked."""
 
     def __init__(self, root: Path, package: str = ""):
         self.root = Path(root)
@@ -108,7 +123,8 @@ class ModuleIndex:
     # -- construction -----------------------------------------------------------
 
     def _module_name(self, path: Path) -> str:
-        rel = path.relative_to(self.root).with_suffix("")
+        base = self.root.parent if self.root.is_file() else self.root
+        rel = path.relative_to(base).with_suffix("")
         parts = list(rel.parts)
         if parts and parts[-1] == "__init__":
             parts = parts[:-1]
@@ -118,7 +134,10 @@ class ModuleIndex:
         return dotted
 
     def _build(self) -> None:
-        for path in sorted(self.root.rglob("*.py")):
+        if not self.root.exists():
+            self.parse_errors.append(f"{self.root}: no such file or directory")
+        paths = [self.root] if self.root.is_file() else self.root.rglob("*.py")
+        for path in sorted(paths):
             try:
                 text = path.read_text()
                 tree = ast.parse(text, filename=str(path))
@@ -132,13 +151,11 @@ class ModuleIndex:
                 tree=tree,
                 lines=tuple(text.splitlines()),
             )
-            self._index_module(info)
+            for node in tree.body:
+                self._index_statement(info, node)
+            self._index_nested(info)
             self.modules[name] = info
         self._link_hierarchy()
-
-    def _index_module(self, info: ModuleInfo) -> None:
-        for node in info.tree.body:
-            self._index_statement(info, node)
 
     def _index_statement(self, info: ModuleInfo, node: ast.stmt) -> None:
         if isinstance(node, ast.Import):
@@ -188,6 +205,70 @@ class ModuleIndex:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.stmt):
                     self._index_statement(info, child)
+
+    def _index_nested(self, info: ModuleInfo) -> None:
+        """Index every nested def and lambda, and mark the UDFs."""
+        known = {
+            id(fn.node): fn
+            for fn in self.functions.values()
+            if fn.module == info.name
+        }
+        sanctioned: Set[int] = set()  # ids of lambdas handed to a services call
+
+        def visit(node: ast.AST, owner: Optional[FunctionInfo]) -> None:
+            if isinstance(node, ast.Call):
+                self._mark_udfs(info, node, owner, sanctioned)
+            for child in ast.iter_child_nodes(node):
+                fn = owner
+                if isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+                ):
+                    fn = known.get(id(child))
+                    if fn is None:
+                        fn = self._add_nested(info, child, owner)
+                        fn.udf = isinstance(child, ast.Lambda) and (
+                            id(child) not in sanctioned
+                        )
+                visit(child, fn)
+
+        visit(info.tree, None)
+
+    def _add_nested(
+        self, info: ModuleInfo, node: ast.AST, owner: Optional[FunctionInfo]
+    ) -> FunctionInfo:
+        name = getattr(node, "name", f"<lambda:{node.lineno}>")
+        qualname = f"{owner.qualname}.{name}" if owner else name
+        if f"{info.name}:{qualname}" in self.functions:
+            qualname += f":{node.col_offset}"
+        fn = FunctionInfo(
+            info.name,
+            qualname,
+            info.path,
+            node,
+            class_name=owner.class_name if owner else None,
+            parent=owner,
+        )
+        self.functions[fn.fid] = fn
+        return fn
+
+    def _mark_udfs(
+        self,
+        info: ModuleInfo,
+        call: ast.Call,
+        owner: Optional[FunctionInfo],
+        sanctioned: Set[int],
+    ) -> None:
+        service = match_suffix(dotted_name(call.func), SERVICE_CALL_SUFFIXES)
+        for arg in [*call.args, *(kw.value for kw in call.keywords)]:
+            if isinstance(arg, ast.Lambda) and service:
+                sanctioned.add(id(arg))
+            elif isinstance(arg, ast.Name) and not service:
+                scope = f"{owner.qualname}." if owner else ""
+                fn = self.functions.get(
+                    f"{info.name}:{scope}{arg.id}"
+                ) or info.functions.get(arg.id)
+                if fn is not None:
+                    fn.udf = True
 
     def _link_hierarchy(self) -> None:
         for module in self.modules.values():

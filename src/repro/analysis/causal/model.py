@@ -1,97 +1,75 @@
 """The causal-coverage model: what counts as a source, sink, and sanitizer.
 
-NDLint's per-function rules (ND101–ND107) flag *call sites*; the causal
-analyzer proves a whole-program property instead: no nondeterminism source
-can reach replayable state or sink output without flowing through
-determinant logging.  That property needs a shared vocabulary:
+The analyzer proves one property: no nondeterminism source can reach
+replayable state or emitted output without flowing through determinant
+logging.  That property needs a shared vocabulary:
 
 * **Sources** create values that differ across re-executions: the wall
-  clock, un-seeded RNG, hash/identity-ordered containers, and the
-  cross-channel select order of the input gate.
+  clock, un-seeded RNG, direct external calls, ambient host reads,
+  hash/identity-ordered values (set iteration, ``id()``/``hash()``,
+  directory listings), the cross-channel select order of the input gate,
+  and closure state a UDF mutates across records (no checkpoint holds it).
 * **Sinks** are where a nondeterministic value becomes *load-bearing* for
   recovery: persisted task state (``TaskSnapshot``, operator snapshots,
   the keyed state backend) and emitted output (``Context.collect``,
-  ``RecordWriter.emit``, in-flight log entries).
+  ``RecordWriter.emit``, in-flight log entries, a UDF's return value).
 * **Sanitizers** are the determinant-recording calls of
-  :mod:`repro.core.determinants` / :mod:`repro.core.causal_log`: once a
-  value (or the decision that produced it) is appended to the causal log,
-  replay regenerates it exactly and the flow is covered.
+  :mod:`repro.core.determinants` / :mod:`repro.core.causal_log` and the
+  ``ctx.services`` facade: once a value (or the decision that produced it)
+  is appended to the causal log, replay regenerates it exactly.
 
 Each category lists *dotted-name patterns* matched against call
-expressions — the same matching discipline as :mod:`repro.analysis.rules`,
-kept file-based and import-free so the analyzer never executes the code it
-scans.
+expressions, kept file-based and import-free so the analyzer never
+executes the code it scans.
 """
 
 from __future__ import annotations
 
+import ast
+import re
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.analysis.rules import (
-    _AMBIENT_CALLS,
-    _AMBIENT_PREFIXES,
-    _RNG_CALLS,
-    _RNG_PREFIXES,
-    _WALL_CLOCK_CALLS,
-    RULES_BY_KEY,
-    Rule,
-    SEV_ERROR,
-)
 
-# -- the interprocedural rule catalogue ---------------------------------------------
+@dataclass(frozen=True)
+class Rule:
+    """One analyzer rule: its id and its name."""
 
-ND_STATE = Rule(
-    "ND201",
-    "unlogged-nd-reaches-state",
-    SEV_ERROR,
-    "nondeterministic value reaches replayable state without a determinant",
-    "any — the flow must pass a determinant-recording call",
-    "§4 (determinant taxonomy), §5 (causal replay)",
-    "route the nondeterministic read through ctx.services (or append a "
-    "determinant) before it is persisted into snapshot/keyed state",
-)
+    rule_id: str
+    name: str
 
-ND_OUTPUT = Rule(
-    "ND202",
-    "unlogged-nd-reaches-output",
-    SEV_ERROR,
-    "nondeterministic value reaches sink output without a determinant",
-    "any — the flow must pass a determinant-recording call",
-    "§4.3 (piggybacked determinants), §5.2 (byte-identical replay)",
-    "log the value as a determinant before emitting; replayed output must "
-    "be byte-identical to the original run",
-)
 
-ND_DEAD = Rule(
-    "ND203",
-    "dead-determinant",
-    SEV_ERROR,
-    "determinant type is recorded but never replayed",
-    "the recorded type itself",
-    "§5 (replay consumes every logged determinant)",
-    "consume the determinant kind in the replay path "
-    "(repro.core.recovery / services), or stop recording it",
-)
-
-ND_PHASE = Rule(
-    "ND210",
-    "phase-protocol",
-    SEV_ERROR,
-    "phase-begin/phase-end emissions are not well-nested on every path",
-    "none — recovery observability invariant (PR 5)",
-    "DESIGN.md, Causal tracing: phases partition the incident",
-    "close every phase-begin with a matching phase-end on each "
-    "early-return/exception edge (try/finally), or demote it to phase-mark",
-)
+#: A nondeterministic value reaches replayable state without a determinant.
+ND_STATE = Rule("ND201", "unlogged-nd-reaches-state")
+#: A nondeterministic value reaches sink output without a determinant.
+ND_OUTPUT = Rule("ND202", "unlogged-nd-reaches-output")
+#: A determinant type is recorded but never replayed.
+ND_DEAD = Rule("ND203", "dead-determinant")
+#: phase-begin/phase-end emissions are not well-nested on every path.
+ND_PHASE = Rule("ND210", "phase-protocol")
 
 CAUSAL_RULES: Tuple[Rule, ...] = (ND_STATE, ND_OUTPUT, ND_DEAD, ND_PHASE)
 
-# Register in the shared key map so `# ndlint: disable=ND201` comments and
-# report rendering resolve causal rules exactly like the per-function ones.
-for _rule in CAUSAL_RULES:
-    RULES_BY_KEY.setdefault(_rule.rule_id, _rule)
-    RULES_BY_KEY.setdefault(_rule.name, _rule)
+#: Rule id or name -> rule, for ``# ndlint: disable=<rule>`` comments.
+RULES_BY_KEY: Dict[str, Rule] = {
+    key: rule for rule in CAUSAL_RULES for key in (rule.rule_id, rule.name)
+}
+
+#: ``# ndlint: disable`` or ``# ndlint: disable=ND202,ND201`` (ids or names).
+_DISABLE_RE = re.compile(r"#\s*ndlint:\s*disable(?:=([\w\-,\s]+))?")
+
+
+def suppresses(line: str, rule: Rule) -> bool:
+    """Does an inline comment on ``line`` waive ``rule``?  A bare
+    ``# ndlint: disable`` waives every rule."""
+    match = _DISABLE_RE.search(line)
+    if match is None:
+        return False
+    if not match.group(1):
+        return True
+    return any(
+        RULES_BY_KEY.get(key.strip()) is rule for key in match.group(1).split(",")
+    )
 
 
 # -- source taxonomy ---------------------------------------------------------------
@@ -102,24 +80,75 @@ CLOCK = "clock"
 HASH_ORDER = "hash_order"
 SELECT_ORDER = "select_order"
 AMBIENT = "ambient"
+EXTERNAL = "external"
+CAPTURED = "captured_state"
 
-#: Dotted-name prefixes and calls that draw module-level / OS randomness
-#: (shared with ND102).  Seeded streams (``random.Random(derive_seed(...))``,
-#: ``self.rng.random()``) deliberately do NOT match: prefixes anchor at the
-#: start of the dotted name, so only the *module-level* ``random.*`` API is a
-#: source.
-RNG_PREFIXES: Tuple[str, ...] = _RNG_PREFIXES
-RNG_CALLS: FrozenSet[str] = _RNG_CALLS
+#: The rewrite that makes each category causally loggable, quoted in findings.
+FIXES: Dict[str, str] = {
+    CLOCK: "use ctx.services.timestamp() (TimestampDeterminant)",
+    RNG: "use ctx.services.random() (RngSeedDeterminant)",
+    EXTERNAL: "route the call through ctx.services.http_get(key) or "
+    "ctx.services.custom(name, fn, arg) (ExternalCallDeterminant)",
+    AMBIENT: "wrap the read in ctx.services.custom(name, fn, arg) "
+    "(CustomDeterminant)",
+    HASH_ORDER: "iterate or persist a sorted(...) copy",
+    SELECT_ORDER: "log the consumed channel as an OrderDeterminant",
+    CAPTURED: "keep cross-record state in ctx.state(StateDescriptor(...)) "
+    "so snapshots and replay see it",
+}
+
+#: Wall-clock reads.
+CLOCK_CALLS: FrozenSet[str] = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.clock_gettime",
+        "datetime.now",
+        "datetime.utcnow",
+        "datetime.today",
+        "date.today",
+    }
+)
+
+#: Dotted-name prefixes and calls that draw module-level / OS randomness.
+#: Seeded streams (``random.Random(derive_seed(...))``, ``self.rng.random()``)
+#: deliberately do NOT match: prefixes anchor at the start of the dotted
+#: name, so only the *module-level* ``random.*`` API is a source.
+RNG_PREFIXES: Tuple[str, ...] = ("random.", "np.random.", "numpy.random.", "secrets.")
+RNG_CALLS: FrozenSet[str] = frozenset(
+    {"os.urandom", "uuid.uuid1", "uuid.uuid4", "os.getrandom"}
+)
 #: ``random.Random()`` *without* a seed argument falls back to OS entropy;
 #: with one it is the standard deterministic-stream idiom and is exempt.
 UNSEEDED_RNG_CTORS: FrozenSet[str] = frozenset({"random.Random", "Random"})
 
-#: Wall-clock reads (shared with ND101).
-CLOCK_CALLS: FrozenSet[str] = frozenset(_WALL_CLOCK_CALLS)
+#: Direct I/O and network entry points that bypass the causal services.
+EXTERNAL_PREFIXES: Tuple[str, ...] = (
+    "requests.", "urllib.", "socket.", "http.client.", "subprocess."
+)
+#: Matched exactly: ``path.open(...)`` on a local file is not a service call.
+EXTERNAL_CALLS: FrozenSet[str] = frozenset({"open"})
+#: The simulated drifting external service's synchronous accessor
+#: (repro.external.http.ExternalService.get_now): calling it outside
+#: ctx.services is exactly the un-intercepted external call.
+EXTERNAL_SUFFIXES: Tuple[str, ...] = (".get_now",)
 
 #: Identity/hash observations: values vary per process (PYTHONHASHSEED,
 #: allocator layout), so anything derived from them is nondeterministic.
 HASH_ORDER_CALLS: FrozenSet[str] = frozenset({"id", "hash"})
+#: Calls whose results come back in filesystem order.
+UNORDERED_CALLS: FrozenSet[str] = frozenset(
+    {"os.listdir", "os.scandir", "glob.glob", "glob.iglob"}
+)
+#: Set constructors: iterating one, or persisting one from a snapshot
+#: method, observes hash order.
+SET_CTORS: FrozenSet[str] = frozenset({"set", "frozenset"})
+#: Calls that iterate their argument in order (``str.join`` by its leaf).
+SEQUENCERS: FrozenSet[str] = frozenset({"list", "tuple", "enumerate", "join"})
 
 #: Cross-channel select order: which input channel the main loop consumes
 #: next is a race outcome; it must be captured as an OrderDeterminant.
@@ -130,9 +159,40 @@ SELECT_ORDER_SUFFIXES: Tuple[str, ...] = (
     "._take_ready",
 )
 
-#: Ambient host/process environment reads (shared with ND106).
-AMBIENT_PREFIXES: Tuple[str, ...] = _AMBIENT_PREFIXES
-AMBIENT_CALLS: FrozenSet[str] = _AMBIENT_CALLS
+#: Ambient host/process environment reads.
+AMBIENT_PREFIXES: Tuple[str, ...] = ("os.environ", "platform.", "sys.stdin")
+AMBIENT_CALLS: FrozenSet[str] = frozenset(
+    {
+        "os.getenv",
+        "os.getpid",
+        "os.getppid",
+        "os.getcwd",
+        "os.cpu_count",
+        "socket.gethostname",
+        "socket.getfqdn",
+        "input",
+    }
+)
+
+#: Methods that mutate their receiver in place: calling one on a captured
+#: closure variable makes that variable cross-record state.
+MUTATORS: FrozenSet[str] = frozenset(
+    {
+        "append",
+        "appendleft",
+        "add",
+        "update",
+        "extend",
+        "insert",
+        "remove",
+        "discard",
+        "pop",
+        "popleft",
+        "popitem",
+        "clear",
+        "setdefault",
+    }
+)
 
 
 # -- sanitizer taxonomy ------------------------------------------------------------
@@ -144,6 +204,7 @@ AMBIENT_CALLS: FrozenSet[str] = _AMBIENT_CALLS
 DETERMINANT_CATEGORIES = {
     "TimestampDeterminant": (CLOCK,),
     "RngSeedDeterminant": (RNG,),
+    "ExternalCallDeterminant": (EXTERNAL,),
     "OrderDeterminant": (SELECT_ORDER,),
     "TimerFiredDeterminant": (CLOCK, SELECT_ORDER),
     "WatermarkEmitDeterminant": (CLOCK,),
@@ -160,7 +221,8 @@ LOG_APPEND_SUFFIXES: Tuple[str, ...] = (
 )
 
 #: The causal services facade: results of these calls are logged/replayed by
-#: construction, so the call expression itself is deterministic.
+#: construction, so the call expression itself is deterministic, and a
+#: callable handed to one runs under its determinant.
 SERVICE_CALL_SUFFIXES: Tuple[str, ...] = (
     "services.timestamp",
     "services.random",
@@ -225,14 +287,29 @@ class CausalFinding:
     line: int
     message: str
     path: Tuple[FlowStep, ...] = field(default_factory=tuple)
-    #: Stable identity used by the allowlist: ``rule:file-suffix:symbol``.
+    #: Stable identity used by the allowlist: ``module:qualname``.
     symbol: str = ""
+    #: Waived by an inline ``# ndlint: disable`` comment: reported, not failed.
+    suppressed: bool = False
 
-    @property
-    def location(self) -> str:
-        """``file:line`` — same shape as per-function lint findings, so
-        :meth:`DeterminismViolation.from_findings` accepts either kind."""
-        return f"{self.file}:{self.line}"
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def match_call(name: Optional[str], names: FrozenSet[str]) -> bool:
+    """``name`` is one of ``names``, or ends in ``.<one of them>``."""
+    return bool(name) and (
+        name in names or any(name.endswith("." + n) for n in names)
+    )
 
 
 def match_suffix(name: Optional[str], suffixes: Tuple[str, ...]) -> bool:

@@ -33,8 +33,12 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.causal.graph import FunctionInfo, ModuleIndex
-from repro.analysis.causal.model import CausalFinding, FlowStep, ND_PHASE
-from repro.analysis.rules import dotted_name
+from repro.analysis.causal.model import (
+    CausalFinding,
+    FlowStep,
+    ND_PHASE,
+    dotted_name,
+)
 
 _PHASE_EVENTS = ("phase-begin", "phase-end", "phase-mark")
 

@@ -21,6 +21,17 @@ determinant logged under ``if self.causal is not None:`` counts, because the
 ``None`` branch is the deliberately-unlogged baseline mode, not a missed
 flow.  Sources merge pessimistically (a source on any branch taints).
 
+**Control dependence.**  A sink (or a return) under a branch whose test is
+tainted carries the test's taint: ``if random.random() < 0.5:
+ctx.collect(v)`` emits a nondeterministic *decision*.
+
+**Closures and UDFs.**  A nested def or lambda that mutates a variable of
+an enclosing function (``nonlocal``, item/attribute stores, ``.append`` and
+the other :data:`~repro.analysis.causal.model.MUTATORS`) keeps state across
+records that no checkpoint holds: reading it is a ``captured_state``
+source.  The return value of a UDF (see
+:mod:`repro.analysis.causal.graph`) is output.
+
 **Interprocedural fixpoint.**  Every function also runs with pseudo-taints
 (``param:<i>``) seeded on its parameters, producing a summary: which
 categories its return value carries, which parameters flow to its return,
@@ -32,16 +43,17 @@ resolution; *unresolved* calls conservatively propagate argument taint to
 their result but create no edges.
 
 Out of scope, by design: dict iteration (insertion-ordered since 3.7),
-set-container serialization order (ND104/ND107's per-function domain),
-taint through ``self`` attributes across methods (the pattern sinks and the
-service-call discipline cover the in-tree cross-object flows).
+iterating a set held in a variable (only set literals, comprehensions and
+``set()``/``frozenset()`` calls are recognised at the loop), taint through
+``self`` attributes across methods (the pattern sinks and the service-call
+discipline cover the in-tree cross-object flows).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.causal.graph import FunctionInfo, ModuleIndex, ModuleInfo
 from repro.analysis.causal.model import (
@@ -49,14 +61,21 @@ from repro.analysis.causal.model import (
     AMBIENT_CALLS,
     AMBIENT_PREFIXES,
     CANONICALIZERS,
+    CAPTURED,
     CLOCK,
     CLOCK_CALLS,
     CausalFinding,
     DETERMINANT_CATEGORIES,
+    EXTERNAL,
+    EXTERNAL_CALLS,
+    EXTERNAL_PREFIXES,
+    EXTERNAL_SUFFIXES,
+    FIXES,
     FlowStep,
     HASH_ORDER,
     HASH_ORDER_CALLS,
     LOG_APPEND_SUFFIXES,
+    MUTATORS,
     ND_OUTPUT,
     ND_STATE,
     OUTPUT_SINK,
@@ -66,26 +85,33 @@ from repro.analysis.causal.model import (
     RNG_PREFIXES,
     SELECT_ORDER,
     SELECT_ORDER_SUFFIXES,
+    SEQUENCERS,
     SERVICE_CALL_SUFFIXES,
+    SET_CTORS,
     SNAPSHOT_DEFS,
     STATE_RECEIVER_TOKENS,
     STATE_SINK,
     STATE_SINK_CTORS,
     STATE_SINK_SUFFIXES,
+    UNORDERED_CALLS,
     UNSEEDED_RNG_CTORS,
+    dotted_name,
+    match_call,
     match_prefix,
     match_suffix,
+    suppresses,
 )
-from repro.analysis.report import suppresses
-from repro.analysis.rules import _matches, dotted_name
 
-ALL_CATS: FrozenSet[str] = frozenset({RNG, CLOCK, HASH_ORDER, SELECT_ORDER, AMBIENT})
+ALL_CATS: FrozenSet[str] = frozenset(
+    {RNG, CLOCK, HASH_ORDER, SELECT_ORDER, AMBIENT, EXTERNAL, CAPTURED}
+)
 
 #: Trace/observability receivers whose ``.emit`` is an event-bus append, not
 #: dataflow output.
 _NON_OUTPUT_RECEIVER_TOKENS = ("trace",)
 
 _SINK_RULE = {STATE_SINK: ND_STATE, OUTPUT_SINK: ND_OUTPUT}
+_EXITS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
 _MAX_ITERATIONS = 10
 _MAX_CHAIN = 8
 
@@ -150,6 +176,19 @@ class _Scanner:
         self.env: Dict[str, Taint] = {}
         #: Currently-covered categories (real and ``param:<i>`` pseudo).
         self.sanitized: Set[str] = set()
+        #: Taint of the branch tests enclosing the current statement.
+        self.control: Taint = {}
+        for name, line in _captured(fn).items():
+            self.env[name] = {
+                CAPTURED: (
+                    FlowStep(
+                        fn.file,
+                        line,
+                        f"captured {name!r} mutated across records "
+                        f"in {fn.qualname}()",
+                    ),
+                )
+            }
         self._in_snapshot_class = self._class_has_snapshot()
         for i, param in enumerate(fn.params):
             if param in ("self", "cls"):
@@ -174,7 +213,11 @@ class _Scanner:
         )
 
     def run(self) -> None:
-        self._exec(self.fn.node.body)
+        node = self.fn.node
+        if isinstance(node, ast.Lambda):
+            self._return_value(node.body)
+        else:
+            self._exec(node.body)
 
     # -- bookkeeping --------------------------------------------------------------
 
@@ -198,15 +241,15 @@ class _Scanner:
 
     def _finding(self, rule, node: ast.AST, chain: Tuple[FlowStep, ...], cat: str) -> None:
         line = getattr(node, "lineno", 0)
-        # Inline suppression works exactly like NDLint's per-function rules.
-        if 0 < line <= len(self.module.lines) and suppresses(
-            self.module.lines[line - 1], rule
-        ):
-            return
+        # A disable comment anywhere on the flagged construct waives it.
+        end = getattr(node, "end_lineno", None) or line
+        suppressed = any(
+            suppresses(text, rule) for text in self.module.lines[line - 1 : end]
+        )
         message = (
             f"{cat} nondeterminism reaches "
             f"{'replayable state' if rule is ND_STATE else 'sink output'} "
-            f"without a determinant (in {self.fn.qualname})"
+            f"without a determinant (in {self.fn.qualname}); {FIXES[cat]}"
         )
         key = (rule.rule_id, self.fn.file, line, message)
         if key in self._seen_findings:
@@ -220,12 +263,13 @@ class _Scanner:
                 message=message,
                 path=chain[:_MAX_CHAIN],
                 symbol=self.fn.fid,
+                suppressed=suppressed,
             )
         )
 
     def _sink(self, kind: str, node: ast.Call, taints: List[Taint], name: str) -> None:
         step = self._step(node, f"{kind} sink {name}()")
-        for taint in taints:
+        for taint in taints + [self.control]:
             for cat, chain in self._active(taint).items():
                 if cat.startswith("param:"):
                     idx = int(cat.split(":", 1)[1])
@@ -236,8 +280,10 @@ class _Scanner:
     # -- statements ---------------------------------------------------------------
 
     def _exec(self, stmts) -> None:
+        outer = self.control
         for stmt in stmts:
             self._stmt(stmt)
+        self.control = outer
 
     def _stmt(self, s: ast.stmt) -> None:
         if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -258,20 +304,20 @@ class _Scanner:
                 self.env[root] = _union(self.env.get(root, {}), taint)
         elif isinstance(s, ast.Expr):
             self._eval(s.value)
-        elif isinstance(s, ast.If):
-            self._eval(s.test)
-            self._exec(s.body)
+        elif isinstance(s, (ast.If, ast.While)):
+            outer = self.control
+            self.control = _union(outer, self._active(self._eval(s.test)))
+            for _ in range(1 if isinstance(s, ast.If) else 2):
+                self._exec(s.body)
             self._exec(s.orelse)
+            # A branch that leaves the block decides whether the rest runs.
+            if not any(b and isinstance(b[-1], _EXITS) for b in (s.body, s.orelse)):
+                self.control = outer
         elif isinstance(s, (ast.For, ast.AsyncFor)):
-            taint = self._eval(s.iter)
+            taint = self._iter(s.iter)
             for _ in range(2):  # propagate loop-carried taint
                 self._bind(s.target, taint, s)
                 self._exec(s.body)
-            self._exec(s.orelse)
-        elif isinstance(s, ast.While):
-            self._eval(s.test)
-            self._exec(s.body)
-            self._exec(s.body)
             self._exec(s.orelse)
         elif isinstance(s, ast.Try):
             self._exec(s.body)
@@ -298,29 +344,39 @@ class _Scanner:
         # Pass/Break/Continue/Import/Global/Nonlocal: no taint effect.
 
     def _return(self, s: ast.Return) -> None:
-        taint = self._eval(s.value) if s.value is not None else {}
+        if s.value is not None:
+            self._return_value(s.value)
+
+    def _return_value(self, value: ast.expr) -> None:
+        # The framework iterates what a UDF returns.
+        evaluate = self._iter if self.fn.udf else self._eval
+        taint = _union(evaluate(value), self.control)
+        snapshot = self.fn.name in SNAPSHOT_DEFS
         for cat, chain in self._active(taint).items():
             if cat.startswith("param:"):
-                self.summary.param_to_return.add(int(cat.split(":", 1)[1]))
-                continue
-            step = self._step(s, f"returned from {self.fn.qualname}()")
-            self.summary.returns.setdefault(cat, chain + (step,))
-            if self.fn.name in SNAPSHOT_DEFS:
-                sink = self._step(
-                    s, f"persisted via {self.fn.qualname}() snapshot return"
-                )
-                self._finding(ND_STATE, s, chain + (sink,), cat)
-        for cat in taint:
-            if cat.startswith("param:") and cat not in self.sanitized:
-                if self.fn.name in SNAPSHOT_DEFS:
-                    idx = int(cat.split(":", 1)[1])
+                idx = int(cat.split(":", 1)[1])
+                self.summary.param_to_return.add(idx)
+                if snapshot:
                     self.summary.param_to_sink.setdefault(
                         idx,
                         (
                             STATE_SINK,
-                            self._step(s, f"{self.fn.qualname}() snapshot return"),
+                            self._step(value, f"{self.fn.qualname}() snapshot return"),
                         ),
                     )
+                continue
+            step = self._step(value, f"returned from {self.fn.qualname}()")
+            self.summary.returns.setdefault(cat, chain + (step,))
+            if snapshot:
+                sink = self._step(
+                    value, f"persisted via {self.fn.qualname}() snapshot return"
+                )
+                self._finding(ND_STATE, value, chain + (sink,), cat)
+            elif self.fn.udf:
+                sink = self._step(
+                    value, f"output: return value of UDF {self.fn.qualname}()"
+                )
+                self._finding(ND_OUTPUT, value, chain + (sink,), cat)
 
     def _bind(self, target: ast.AST, taint: Taint, stmt: ast.stmt) -> None:
         if isinstance(target, ast.Name):
@@ -369,6 +425,17 @@ class _Scanner:
             return self._call(node)
         if isinstance(node, ast.Name):
             return dict(self.env.get(node.id, {}))
+        if isinstance(node, (ast.Set, ast.SetComp)) and self.fn.name in SNAPSHOT_DEFS:
+            return self._source(
+                node, HASH_ORDER, "set persisted by a snapshot method",
+                self._children(node),
+            )
+        if isinstance(node, ast.Attribute) and match_prefix(
+            dotted_name(node), AMBIENT_PREFIXES
+        ):
+            return self._source(
+                node, AMBIENT, f"ambient environment read {dotted_name(node)}", {}
+            )
         if isinstance(node, (ast.Attribute, ast.Subscript)):
             root = _root_name(node)
             taint = dict(self.env.get(root, {})) if root else {}
@@ -383,19 +450,29 @@ class _Scanner:
             if isinstance(child, ast.expr):
                 out = _union(out, self._eval(child))
             elif isinstance(child, ast.comprehension):
-                out = _union(out, self._eval(child.iter))
+                out = _union(out, self._iter(child.iter))
             elif isinstance(child, ast.keyword):
                 out = _union(out, self._eval(child.value))
         return out
 
-    def _source(self, node: ast.Call, cat: str, desc: str, base: Taint) -> Taint:
+    def _iter(self, node: ast.expr) -> Taint:
+        """Taint of the items of ``node``: a set yields them in hash order."""
+        taint = self._eval(node)
+        if isinstance(node, (ast.Set, ast.SetComp)) or (
+            isinstance(node, ast.Call) and dotted_name(node.func) in SET_CTORS
+        ):
+            return self._source(node, HASH_ORDER, "iteration over a set", taint)
+        return taint
+
+    def _source(self, node: ast.AST, cat: str, desc: str, base: Taint) -> Taint:
         self.sanitized.discard(cat)  # a fresh source re-taints its category
         return _union(base, {cat: (self._step(node, desc),)})
 
     def _call(self, node: ast.Call) -> Taint:
         name = dotted_name(node.func) or ""
         leaf = name.rsplit(".", 1)[-1]
-        arg_taints = [self._eval(a) for a in node.args]
+        ordered = self._iter if leaf in SEQUENCERS else self._eval
+        arg_taints = [ordered(a) for a in node.args]
         kw_taints = {
             kw.arg: self._eval(kw.value) for kw in node.keywords if kw.arg
         }
@@ -426,9 +503,9 @@ class _Scanner:
             if node.args or node.keywords:
                 return base  # seeded stream: the standard deterministic idiom
             return self._source(node, RNG, f"unseeded {name}()", base)
-        if _matches(name, CLOCK_CALLS):
+        if match_call(name, CLOCK_CALLS):
             return self._source(node, CLOCK, f"wall-clock read {name}()", base)
-        if match_prefix(name, RNG_PREFIXES) or _matches(name, RNG_CALLS):
+        if match_prefix(name, RNG_PREFIXES) or match_call(name, RNG_CALLS):
             return self._source(node, RNG, f"unlogged randomness {name}()", base)
         if name in HASH_ORDER_CALLS:
             return self._source(
@@ -438,11 +515,27 @@ class _Scanner:
             return self._source(
                 node, SELECT_ORDER, f"cross-channel select {name}()", base
             )
-        if _matches(name, AMBIENT_CALLS) or match_prefix(
+        if match_call(name, AMBIENT_CALLS) or match_prefix(
             name, AMBIENT_PREFIXES
         ):
             return self._source(
                 node, AMBIENT, f"ambient environment read {name}()", base
+            )
+        if (
+            match_prefix(name, EXTERNAL_PREFIXES)
+            or name in EXTERNAL_CALLS
+            or match_suffix(name, EXTERNAL_SUFFIXES)
+        ):
+            return self._source(
+                node, EXTERNAL, f"direct external call {name}()", base
+            )
+        if match_call(name, UNORDERED_CALLS):
+            return self._source(
+                node, HASH_ORDER, f"unordered result of {name}()", base
+            )
+        if name in SET_CTORS and self.fn.name in SNAPSHOT_DEFS:
+            return self._source(
+                node, HASH_ORDER, f"{name}() persisted by a snapshot method", base
             )
         if name in CANONICALIZERS:
             out = dict(base)
@@ -557,6 +650,66 @@ def _root_name(node: ast.AST) -> Optional[str]:
     while isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
         node = node.value
     return node.id if isinstance(node, ast.Name) else None
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(fn_node: ast.AST) -> Iterator[ast.AST]:
+    """Every node of a def's or lambda's body, not entering nested scopes."""
+    body = fn_node.body
+    stack = list(body) if isinstance(body, list) else [body]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bound_names(fn_node: ast.AST) -> Set[str]:
+    """Names local to a def or lambda: its parameters and what it binds."""
+    args = fn_node.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    declared: Set[str] = set()
+    for node in _own_nodes(fn_node):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Nonlocal, ast.Global)):
+            declared.update(node.names)
+    return names - declared
+
+
+def _captured(fn: FunctionInfo) -> Dict[str, int]:
+    """Enclosing-function variables ``fn`` mutates -> its first mutation line."""
+    if fn.parent is None:
+        return {}
+    outer: Set[str] = set()
+    parent: Optional[FunctionInfo] = fn.parent
+    while parent is not None:
+        outer |= _bound_names(parent.node)
+        parent = parent.parent
+    outer -= _bound_names(fn.node) | {"self", "cls"}
+    found: Dict[str, int] = {}
+    for node in _own_nodes(fn.node):
+        if isinstance(node, ast.Nonlocal):
+            names = list(node.names)
+        elif isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(
+            node.ctx, ast.Store
+        ):
+            names = [_root_name(node)]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            node.func.attr in MUTATORS
+        ):
+            names = [_root_name(node.func.value)]
+        else:
+            continue
+        for name in names:
+            if name in outer:
+                found[name] = min(found.get(name, node.lineno), node.lineno)
+    return found
 
 
 def analyze_taint(index: ModuleIndex) -> Tuple[List[CausalFinding], int]:

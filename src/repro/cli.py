@@ -4,8 +4,7 @@
     python -m repro trace [--out DIR]
     python -m repro bench [--suite NAME ...] [--json BENCH_perf.json] [--golden-only]
     python -m repro profile [SUITE] [--top N] [--json]
-    python -m repro lint [all | q5 | examples | path/to/file.py ...] [--strict]
-    python -m repro verify-static [--json] [--bench BENCH_static.json] [DIR ...]
+    python -m repro verify-static [--json] [--bench BENCH_static.json] [PATH ...]
     python -m repro sanitize [all | quickstart | q3 ...]
     python -m repro gates [--only GATES] [--case LABELS] [--seeds 0:16] [--json PATH]
     python -m repro audit [--inject K] [--seed N]
@@ -14,8 +13,9 @@
 ``repro.harness.figures`` declares for it and prints its tables and series;
 ``--events`` shrinks the input of the figures with a finite input.  See
 EXPERIMENTS.md for the mapping to the paper.
-``lint`` runs the NDLint static pass, ``verify-static`` the interprocedural
-causal-coverage analyzer (ND201–ND210), and ``sanitize`` the double-run
+``verify-static`` runs the static causal-coverage analyzer (ND201–ND210)
+over directories or ``.py`` files (default: ``src/repro`` and
+``examples/``), and ``sanitize`` the double-run
 determinism sanitizer (see README, "Verifying your pipeline is causally
 loggable").  ``audit`` sweeps every stored artifact and verifies its content
 fingerprint; ``--inject K`` self-tests the sweep against seeded corruption
@@ -38,7 +38,7 @@ run is graded on one vocabulary — ``transparent``, ``announced-degradation``,
 helper (see README, "Fault experiments").
 
 Exit codes, for every verb: 0 clean, 1 findings (any ``violation:*``,
-failed scenario or trace check, lint finding, golden drift), 2 usage or
+failed scenario or trace check, analyzer finding, golden drift), 2 usage or
 internal error (including a selection that runs nothing — a gate that ran
 nothing is never green).  :func:`main` owns the 2.
 """
@@ -179,18 +179,11 @@ def _cmd_trace(args) -> int:
 
 # -- determinism tooling ------------------------------------------------------
 
-#: Examples shipped at the repository root; linted as whole files and
+#: Examples shipped at the repository root; scanned by ``verify-static`` and
 #: double-run (entry point per name) by ``sanitize``.
 _EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 _EXAMPLE_NAMES = ("quickstart", "fraud_detection", "exactly_once_output",
                   "nexmark_hot_items")
-
-
-class _LintProbeService:
-    """Stand-in for Q13's external side-input service during graph lint."""
-
-    def get_now(self, key):
-        return key
 
 
 def _load_example(name: str):
@@ -199,16 +192,6 @@ def _load_example(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _query_graph(name: str):
-    """Build query ``name``'s graph against a fresh log (for linting)."""
-    from repro.external.kafka import DurableLog
-    from repro.nexmark.queries import QUERIES
-
-    log = DurableLog()
-    external = _LintProbeService() if name == "Q13" else None
-    return QUERIES[name](log, external=external)
 
 
 def _cmd_bench(args) -> int:
@@ -296,61 +279,27 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis import dedupe_reports, lint_file, lint_graph
-    from repro.nexmark.queries import QUERIES
-
-    reports = []
-    for raw in args.targets or ["all"]:
-        target = raw.strip()
-        upper = target.upper()
-        if target == "all":
-            reports.extend(
-                lint_file(_EXAMPLES_DIR / f"{name}.py") for name in _EXAMPLE_NAMES
-            )
-            reports.extend(lint_graph(_query_graph(q)) for q in sorted(QUERIES))
-        elif target == "examples":
-            reports.extend(
-                lint_file(_EXAMPLES_DIR / f"{name}.py") for name in _EXAMPLE_NAMES
-            )
-        elif upper in QUERIES:
-            reports.append(lint_graph(_query_graph(upper)))
-        elif target.endswith(".py"):
-            reports.append(lint_file(target))
-        else:
-            raise _UsageError(f"unknown lint target {target!r} "
-                              f"(all | examples | Q1..Q14 | path/to/file.py)")
-    dedupe_reports(reports)
-    failed = False
-    for report in reports:
-        print(report.summary())
-        if report.findings:
-            print(report.render())
-        for target in report.unresolved:
-            print(f"ndlint: cannot read source for {target!r}", file=sys.stderr)
-        failed = failed or not report.ok(strict=args.strict) or bool(report.unresolved)
-    n_err = sum(len(r.errors) for r in reports)
-    n_warn = sum(len(r.warnings) for r in reports)
-    print(f"\nndlint: {len(reports)} targets, {n_err} errors, {n_warn} warnings")
-    return 1 if failed else 0
-
-
 def _cmd_verify_static(args) -> int:
-    """Interprocedural causal-coverage analysis (ND201–ND210) over a tree.
+    """Causal-coverage analysis (ND201–ND210) over directories or files.
 
-    Exit codes: 0 clean, 1 findings (or parse errors in the scanned tree).
+    Exit codes: 0 clean, 1 findings (or parse errors in a scanned file).
     """
     import json as json_module
 
+    import repro
     from repro.analysis.causal import analyze_tree
 
-    reports = []
-    for raw in args.roots or [None]:
-        root = Path(raw) if raw is not None else None
-        if root is not None and not root.is_dir():
-            raise _UsageError(f"not a directory: {root}")
-        package = root.name if root is not None else "repro"
-        reports.append(analyze_tree(root, package=package))
+    roots = [Path(raw) for raw in args.roots] or [
+        Path(repro.__file__).resolve().parent,
+        *([_EXAMPLES_DIR] if _EXAMPLES_DIR.is_dir() else []),
+    ]
+    for root in roots:
+        if not (root.is_dir() or (root.is_file() and root.suffix == ".py")):
+            raise _UsageError(f"not a directory or .py file: {root}")
+    reports = [
+        analyze_tree(root, package=root.name if root.is_dir() else "")
+        for root in roots
+    ]
     for report in reports:
         print(report.to_json() if args.json else report.render())
     if args.bench:
@@ -573,22 +522,15 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     pp.set_defaults(fn=_cmd_profile)
 
-    pl = sub.add_parser("lint", help="NDLint: static nondeterminism check")
-    pl.add_argument("targets", nargs="*",
-                    help="all | examples | Q1..Q14 | path/to/file.py (default: all)")
-    pl.add_argument("--strict", action="store_true",
-                    help="treat warnings as failures too")
-    pl.set_defaults(fn=_cmd_lint)
-
     pv = sub.add_parser(
         "verify-static",
         help="interprocedural causal-coverage analysis: ND201 (ND->state), "
              "ND202 (ND->output), ND203 (dead determinant), ND210 (phase "
              "protocol)",
     )
-    pv.add_argument("roots", nargs="*", metavar="DIR",
-                    help="source tree(s) to scan (default: the installed "
-                         "src/repro tree)")
+    pv.add_argument("roots", nargs="*", metavar="PATH",
+                    help="directories or .py files to scan (default: the "
+                         "installed src/repro tree and examples/)")
     pv.add_argument("--json", action="store_true",
                     help="emit the machine-readable JSON report")
     pv.add_argument("--bench", metavar="PATH", default=None,

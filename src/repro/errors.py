@@ -162,55 +162,3 @@ class IntegrityError(RecoveryError):
 
 class ExternalSystemError(ReproError):
     """Simulated external system (Kafka/DFS/HTTP) rejected an operation."""
-
-
-class LintError(ReproError):
-    """A determinism-analysis failure, structured for tooling.
-
-    Carries the violated rule, the source location, and the remediation hint
-    so submission-path callers (``JobManager.submit``, the CLI) can render
-    actionable diagnostics instead of ad-hoc messages.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        rule_id: str = None,
-        location: str = None,
-        hint: str = None,
-    ):
-        parts = [message]
-        if rule_id:
-            parts.insert(0, f"[{rule_id}]")
-        if location:
-            parts.append(f"at {location}")
-        if hint:
-            parts.append(f"(fix: {hint})")
-        super().__init__(" ".join(parts))
-        self.rule_id = rule_id
-        self.location = location
-        self.hint = hint
-
-
-class DeterminismViolation(LintError):
-    """A job is not causally loggable: an un-intercepted source of
-    nondeterminism would produce no determinant, so causal recovery could not
-    replay it (the Table 1 assumption violation).
-
-    Raised by ``JobManager.submit(lint="strict")`` for static findings and
-    available to the runtime sanitizer for protocol-invariant breaches.
-    """
-
-    @classmethod
-    def from_findings(cls, findings) -> "DeterminismViolation":
-        """Build from NDLint findings; the first one shapes the message."""
-        first = findings[0]
-        extra = f" (+{len(findings) - 1} more)" if len(findings) > 1 else ""
-        exc = cls(
-            f"graph is not causally loggable: {first.message}{extra}",
-            rule_id=first.rule.rule_id,
-            location=first.location,
-            hint=first.rule.remediation,
-        )
-        exc.findings = list(findings)
-        return exc

@@ -151,19 +151,6 @@ class JobGraph:
     def total_tasks(self) -> int:
         return sum(n.parallelism for n in self.nodes)
 
-    def udf_callables(self):
-        """Yield ``(label, callable)`` for every user-supplied callable in the
-        graph: node factories (which close over the operator UDFs) and edge
-        key selectors.  This is the root set the NDLint engine expands."""
-        for node in self.nodes:
-            yield f"node {node.name!r} factory", node.factory
-        for edge in self.edges:
-            if edge.key_selector is not None:
-                yield (
-                    f"edge {edge.upstream.name}->{edge.downstream.name} key_selector",
-                    edge.key_selector,
-                )
-
     def __repr__(self) -> str:
         return f"JobGraph({self.name!r}, nodes={len(self.nodes)}, D={self.depth})"
 

@@ -154,8 +154,6 @@ class JobManager:
         #: stop it (a hand-stepped ``env.run(until=...)`` keeps its horizon).
         self._driving = False
         self._checkpoint_proc = None
-        #: NDLint report of the last ``submit(lint=...)`` call, if any.
-        self.lint_report = None
         #: (task_name, exception) for tasks that crashed on a bug (as opposed
         #: to injected failures); surfaced by run_until_done.
         self.crashed: List[Tuple[str, BaseException]] = []
@@ -174,40 +172,6 @@ class JobManager:
         self.node_slowdowns: Dict[int, float] = {}
 
     # -- deployment --------------------------------------------------------------------
-
-    def submit(self, lint: str = "off"):
-        """Lint the job graph for un-intercepted nondeterminism, then deploy.
-
-        ``lint`` selects the per-graph NDLint policy:
-
-        * ``"off"``    — deploy without analysis (same as :meth:`deploy`);
-        * ``"warn"``   — run NDLint, print findings to stderr, deploy anyway;
-        * ``"strict"`` — refuse graphs with error-severity findings by
-          raising :class:`~repro.errors.DeterminismViolation`.
-
-        The framework's own causal coverage is a property of the source
-        tree, not of a job: ``repro verify-static`` and CI check it.
-
-        Returns the :class:`~repro.analysis.report.LintReport` (None when
-        ``lint="off"``), also kept on :attr:`lint_report`.
-        """
-        if lint not in ("off", "warn", "strict"):
-            raise JobError(f"unknown lint policy {lint!r} (off|warn|strict)")
-        report = None
-        if lint != "off":
-            import sys
-
-            from repro.analysis import lint_graph
-            from repro.errors import DeterminismViolation
-
-            report = lint_graph(self.graph)
-            self.lint_report = report
-            if lint == "strict" and report.errors:
-                raise DeterminismViolation.from_findings(report.errors)
-            if report.findings:
-                print(report.render(), file=sys.stderr)
-        self.deploy()
-        return report
 
     def deploy(self) -> None:
         """Build the physical graph, start every task, start coordination."""

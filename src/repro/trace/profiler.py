@@ -10,8 +10,9 @@ handler) that ran, so later perf PRs know where the hot paths are.
 Wall-clock readings are host-dependent and therefore **nondeterministic**;
 they never enter the sim, the trace event bus, or the deterministic
 exporters — the profiler's only output is its own report.  (This is the one
-framework-sanctioned use of ``time.perf_counter``; see the NDLint
-framework allowlist in :mod:`repro.analysis.rules`.)
+framework-sanctioned use of ``time.perf_counter``; the causal analyzer,
+:mod:`repro.analysis.causal`, checks that the readings reach no replayable
+state or output.)
 """
 
 from __future__ import annotations

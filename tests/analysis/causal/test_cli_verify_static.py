@@ -1,7 +1,7 @@
 """Exit codes and report formats of ``repro verify-static``.
 
 The determinism-tooling convention: 0 clean, 1 findings, 2 internal/usage
-error — shared with ``repro lint``.
+error.
 """
 
 import json

@@ -140,6 +140,19 @@ def test_inline_suppression_applies_to_causal_rules(mini_tree):
     assert findings_of(report, "ND201") == [], report.render()
 
 
+def test_early_exit_under_a_nondeterministic_test(mini_tree):
+    # Whether the emit runs at all is decided by the draw.
+    report = mini_tree(
+        {
+            "ops.py": "import random\n\n\ndef op(record, ctx):\n"
+            "    if random.random() < 0.5:\n        return\n"
+            "    ctx.collect(record)\n"
+        }
+    )
+    (finding,) = findings_of(report, "ND202")
+    assert "random.random" in finding.path[0].description
+
+
 def test_report_json_carries_flow_paths(mini_tree):
     import json
 
@@ -181,7 +194,7 @@ class HostOp:
     ],
 )
 def test_ambient_read_reaching_snapshot_state(mini_tree, read):
-    """The causal analyzer flags every ambient read NDLint v1 (ND106) does."""
+    """Every ambient host read is a source."""
     report = mini_tree({"ops.py": AMBIENT_STATE.format(read=read)})
     hits = findings_of(report, "ND201")
     assert hits, report.render()

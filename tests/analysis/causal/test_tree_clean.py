@@ -1,7 +1,7 @@
 """The acceptance gate: the shipped tree passes its own causal analyzer."""
 
 from repro.analysis.causal import CAUSAL_RULES, analyze_tree
-from repro.analysis.rules import RULES_BY_KEY
+from repro.analysis.causal.model import RULES_BY_KEY
 
 
 def test_shipped_tree_is_clean():
@@ -23,7 +23,7 @@ def test_analyzer_covers_the_real_tree():
 
 
 def test_causal_rules_registered_for_suppression_comments():
-    # `# ndlint: disable=ND201` must resolve exactly like ND101..ND107.
+    # `# ndlint: disable=ND201` names a rule by its id or its name.
     for rule in CAUSAL_RULES:
         assert RULES_BY_KEY[rule.rule_id] is rule
         assert RULES_BY_KEY[rule.name] is rule

@@ -1,9 +1,10 @@
-"""UDF fixtures for the NDLint tests.
+"""UDF fixtures for the causal analyzer's tests: the analyzer's spec.
 
-Each ``bad_*`` function exhibits exactly the nondeterminism its name says;
-each ``good_*`` function is the causally-loggable rewrite the rule's
-remediation asks for.  The linter reads this file's source, so keep each
-violation on its own line.
+Each ``bad_*`` function (and each op a ``make_bad_*`` factory returns, and
+each ``Bad*`` class) exhibits exactly the nondeterminism its name says;
+each ``good_*`` function is the causally-loggable rewrite the finding's fix
+asks for.  The analyzer reads this file's source, so keep each violation on
+its own line.
 """
 
 import os
@@ -80,12 +81,20 @@ def bad_ambient(record, ctx):
     ctx.collect((record.value, os.getenv("HOSTNAME", "?")))
 
 
+def bad_key_selector(stream):
+    return stream.key_by(lambda value: random.randrange(4))
+
+
+def good_key_selector(stream):
+    return stream.key_by(lambda value: value % 4)
+
+
 def suppressed_wall_clock(record, ctx):
-    ctx.collect((record.value, time.time()))  # ndlint: disable=wall-clock
+    ctx.collect((record.value, time.time()))  # ndlint: disable=ND202
 
 
 class BadSnapshotKeys:
-    """ND107: persists a hash-ordered projection of its keyed state, so the
+    """Persists a hash-ordered projection of its keyed state, so the
     same logical state serializes (and fingerprints) differently per run."""
 
     def __init__(self):
@@ -103,7 +112,7 @@ class BadSnapshotKeys:
 
 
 class BadDigestWriter:
-    """ND107 twice over: a hash() of a frozenset, both process-dependent."""
+    """Persists a hash() of a frozenset: both process-dependent."""
 
     def __init__(self):
         self.channels = []
@@ -113,7 +122,7 @@ class BadDigestWriter:
 
 
 class GoodSnapshotKeys:
-    """The ND107 remediation: persist a sorted projection."""
+    """The fix: persist a sorted projection."""
 
     def __init__(self):
         self.seen = {}

@@ -1,7 +1,9 @@
-"""CLI exit-code tests for ``repro lint`` / ``repro sanitize``."""
+"""CLI exit-code tests for ``repro verify-static`` over the shipped code and
+single files, and for ``repro sanitize``."""
 
 from pathlib import Path
 
+import repro.nexmark.queries as queries_module
 from repro.cli import main
 
 from tests.analysis import fixture_udfs as fx
@@ -10,36 +12,41 @@ FIXTURE_FILE = str(Path(fx.__file__))
 
 
 def test_lint_all_shipped_code_is_clean(capsys):
-    assert main(["lint", "all"]) == 0
+    # The default roots are the framework tree and the examples.
+    assert main(["verify-static"]) == 0
     out = capsys.readouterr().out
-    assert "ndlint" in out and "0 errors" in out
+    assert "causal-coverage analysis of" in out and "examples" in out
+    assert out.count("status: clean") == 2
 
 
 def test_lint_flags_fixture_file(capsys):
-    assert main(["lint", FIXTURE_FILE]) == 1
+    assert main(["verify-static", FIXTURE_FILE]) == 1
     out = capsys.readouterr().out
-    assert "ND101" in out and "ND103" in out
+    assert "ND202" in out and "ND201" in out
+    assert "fixture_udfs.py:" in out
+    assert "suppressed (1):" in out
 
 
 def test_lint_strict_fails_on_warnings(tmp_path, capsys):
+    # Set iteration reaching output fails the gate like any other finding.
     warn_only = tmp_path / "warn_only.py"
     warn_only.write_text(
         "def op(record, ctx):\n"
         "    for item in {1, 2, 3}:\n"
         "        ctx.collect(item)\n"
     )
-    assert main(["lint", str(warn_only)]) == 0
-    assert main(["lint", "--strict", str(warn_only)]) == 1
+    assert main(["verify-static", str(warn_only)]) == 1
+    assert "iteration over a set" in capsys.readouterr().out
 
 
 def test_lint_single_query(capsys):
-    assert main(["lint", "q5"]) == 0
-    assert "nexmark-q5" in capsys.readouterr().out
+    assert main(["verify-static", queries_module.__file__]) == 0
+    assert "queries.py" in capsys.readouterr().out
 
 
 def test_lint_unknown_target(capsys):
-    assert main(["lint", "nonsense"]) == 2
-    assert "unknown lint target" in capsys.readouterr().err
+    assert main(["verify-static", FIXTURE_FILE.replace(".py", ".txt")]) == 2
+    assert "not a directory or .py file" in capsys.readouterr().err
 
 
 def test_sanitize_unknown_target(capsys):

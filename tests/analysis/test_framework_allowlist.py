@@ -1,50 +1,55 @@
-"""The framework allowlist exempts exactly the profiler's wall-clock reads —
-nothing else, nowhere else."""
+"""The profiler's wall-clock reads, the one sanctioned nondeterminism source
+in the framework, need no allowlist entry; an exemption, when one is
+written, matches its own file and nothing else."""
 
 from pathlib import Path
 
 import repro.trace.profiler as profiler_module
-from repro.analysis import lint_file
-from repro.analysis.rules import FRAMEWORK_ALLOWLIST, allowlisted_calls
+from repro.analysis.causal import analyze_tree
+from repro.analysis.causal.allowlist import CAUSAL_ALLOWLIST, Exemption
+from repro.analysis.causal.model import CausalFinding, ND_OUTPUT
 
 PROFILER_FILE = Path(profiler_module.__file__)
 
+PROFILER_ENTRY = Exemption(
+    "ND202", "repro/trace/profiler.py", "", "wall-clock self-time, report only"
+)
+
+
+def _finding(file):
+    return CausalFinding(rule=ND_OUTPUT, file=file, line=1, message="m")
+
 
 def test_profiler_module_lints_clean():
-    report = lint_file(PROFILER_FILE)
-    assert report.findings == []
-    assert report.ok(strict=True)
+    report = analyze_tree(PROFILER_FILE, package="", use_allowlist=False)
+    assert report.findings == [] and report.ok, report.render()
 
 
 def test_allowlist_matches_by_path_suffix():
-    allowed = allowlisted_calls(str(PROFILER_FILE))
-    assert "time.perf_counter_ns" in allowed
-    assert allowlisted_calls("repro/trace/profiler.py") == allowed
-    assert allowlisted_calls("repro\\trace\\profiler.py") == allowed
+    assert PROFILER_ENTRY.matches(_finding(str(PROFILER_FILE)))
+    assert PROFILER_ENTRY.matches(_finding("repro/trace/profiler.py"))
+    assert PROFILER_ENTRY.matches(_finding("repro\\trace\\profiler.py"))
 
 
 def test_other_modules_get_no_exemption():
-    assert allowlisted_calls("src/repro/trace/events.py") == frozenset()
-    assert allowlisted_calls("user_code/profiler.py") == frozenset()
+    assert not PROFILER_ENTRY.matches(_finding("src/repro/trace/events.py"))
+    assert not PROFILER_ENTRY.matches(_finding("user_code/profiler.py"))
 
 
 def test_wall_clock_still_flagged_outside_the_allowlist(tmp_path):
-    # The same call the profiler is allowed to make stays an ND101 error in
-    # any non-allowlisted file.
+    # The read the profiler makes is a finding once it reaches output.
     bad = tmp_path / "user_op.py"
     bad.write_text(
-        "import time\n\n\ndef measure():\n    return time.perf_counter()\n"
+        "import time\n\n\ndef op(record, ctx):\n"
+        "    ctx.collect(time.perf_counter())\n"
     )
-    report = lint_file(bad)
-    assert not report.ok()
-    assert any(f.rule.rule_id == "ND101" for f in report.errors)
+    report = analyze_tree(bad, package="")
+    assert not report.ok
+    assert [f.rule.rule_id for f in report.findings] == ["ND202"]
 
 
 def test_allowlist_stays_minimal():
-    # Guard against the exemption quietly growing: one file, wall-clock
-    # reads only.
-    assert set(FRAMEWORK_ALLOWLIST) == {"repro/trace/profiler.py"}
-    assert FRAMEWORK_ALLOWLIST["repro/trace/profiler.py"] <= {
-        "time.perf_counter",
-        "time.perf_counter_ns",
-    }
+    # The framework exemption merged into the one allowlist as no entry.
+    assert not any(
+        entry.path_suffix.endswith("trace/profiler.py") for entry in CAUSAL_ALLOWLIST
+    )

@@ -1,7 +1,7 @@
-"""ND107 honours inline suppression anywhere in a multi-line construct,
-and duplicate findings across the file/graph engines collapse."""
+"""An inline ``# ndlint: disable`` comment waives a finding from any line
+of a multi-line construct, and findings stay one per file and line."""
 
-from repro.analysis import dedupe_reports, lint_file
+from repro.analysis.causal import analyze_tree
 
 SNAPSHOT_SET_ITERATION = """
 class Op:
@@ -11,7 +11,7 @@ class Op:
     def snapshot(self):
         return {
             value
-            for value in self.items  # ndlint: disable=ND107
+            for value in self.items  # ndlint: disable=ND201
         }
 
     def snapshot_state(self):
@@ -22,18 +22,20 @@ class Op:
 """
 
 
+def _analyze(path):
+    return analyze_tree(path, package="", use_allowlist=False)
+
+
 def test_nd107_suppressed_set_iteration_in_snapshot_method(tmp_path):
-    # Regression: the disable comment sits on an *interior* line of the
-    # multi-line set comprehension; before RawFinding carried end_lineno the
-    # engine only consulted the construct's first line and missed it.
+    # The disable comment sits on an *interior* line of the multi-line set
+    # comprehension; the finding anchors at its first line.
     path = tmp_path / "op.py"
     path.write_text(SNAPSHOT_SET_ITERATION)
-    report = lint_file(path)
-    flagged = [f for f in report.findings if f.rule.rule_id == "ND107"]
-    suppressed = [f for f in report.suppressed if f.rule.rule_id == "ND107"]
-    assert len(suppressed) == 1, report.render()
-    assert len(flagged) == 1  # the uncommented twin still fires
-    assert flagged[0].line > suppressed[0].line
+    report = _analyze(path)
+    (flagged,) = report.findings
+    (suppressed,) = report.suppressed
+    assert flagged.rule.rule_id == suppressed.rule.rule_id == "ND201"
+    assert flagged.line > suppressed.line  # the uncommented twin still fires
 
 
 def test_nd107_suppression_on_single_line_still_works(tmp_path):
@@ -41,31 +43,20 @@ def test_nd107_suppression_on_single_line_still_works(tmp_path):
     path.write_text(
         "class Op:\n"
         "    def snapshot(self):\n"
-        "        return {1, 2, 3}  # ndlint: disable=ND107\n"
+        "        return {1, 2, 3}  # ndlint: disable=ND201\n"
     )
-    report = lint_file(path)
-    assert not [f for f in report.findings if f.rule.rule_id == "ND107"]
-    assert [f for f in report.suppressed if f.rule.rule_id == "ND107"]
-
-
-def test_dedupe_reports_drops_cross_engine_duplicates(tmp_path):
-    # The same file swept twice (as `lint all` does when a graph UDF lives
-    # in an already-linted module) reports each finding once.
-    path = tmp_path / "op.py"
-    path.write_text(
-        "import time\n\n\ndef op(record, ctx):\n    ctx.collect(time.time())\n"
-    )
-    first, second = lint_file(path), lint_file(path)
-    assert first.findings and second.findings
-    dedupe_reports([first, second])
-    assert len(first.findings) == 1
-    assert second.findings == []
+    report = _analyze(path)
+    assert report.findings == [] and report.ok
+    assert [f.rule.rule_id for f in report.suppressed] == ["ND201"]
 
 
 def test_dedupe_reports_keeps_distinct_findings(tmp_path):
-    a, b = tmp_path / "a.py", tmp_path / "b.py"
-    a.write_text("import time\n\n\ndef op(r, ctx):\n    ctx.collect(time.time())\n")
-    b.write_text("import time\n\n\ndef op(r, ctx):\n    ctx.collect(time.time())\n")
-    ra, rb = lint_file(a), lint_file(b)
-    dedupe_reports([ra, rb])
-    assert ra.findings and rb.findings  # different files: both stay
+    # Identical code in two files is two findings, one per file.
+    for name in ("a.py", "b.py"):
+        (tmp_path / name).write_text(
+            "import time\n\n\ndef op(r, ctx):\n    ctx.collect(time.time())\n"
+        )
+    report = _analyze(tmp_path)
+    assert sorted(f.file.rsplit("/", 1)[-1] for f in report.findings) == [
+        "a.py", "b.py"
+    ]

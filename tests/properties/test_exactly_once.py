@@ -64,10 +64,11 @@ def scenarios(draw):
         seed=0,
     )
 )
-# Pinned regression (ROADMAP item 0): the source drains 998 records by
-# t=0.499, so this kill finds ``src[0]`` FINISHED.  That used to fail the
-# test with FailureInjectionError; an unlanded kill now leaves a failure-free
-# run, which must be exactly-once all the same.
+# Pinned regression: a kill that lands after its victim finished.  The
+# source drains 998 records by t=0.499, so this kill finds ``src[0]``
+# FINISHED.  That used to fail the test with FailureInjectionError; an
+# unlanded kill now leaves a failure-free run, which must be exactly-once
+# all the same.
 @example(
     dict(
         n_records=998,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.rules import dotted_name
+from repro.analysis.causal.model import dotted_name
 from repro.config import POLICIES, RecoveryScope
 from repro.config import FaultToleranceMode as Mode
 

@@ -9,8 +9,8 @@ from repro.cli import build_parser, main
 
 
 VERBS = {
-    "figures", "trace", "bench", "profile", "lint", "verify-static", "sanitize",
-    "gates", "audit",
+    "figures", "trace", "bench", "profile", "verify-static", "sanitize", "gates",
+    "audit",
 }
 
 

@@ -1,5 +1,5 @@
-"""Cold start: building and running a job loads none of the linter or the
-trace tooling (``repro.analysis`` and ``repro.trace`` re-export lazily), and
+"""Cold start: building and running a job loads none of the static analyzer,
+the sanitizer or the trace tooling (``repro.analysis`` and ``repro.trace`` re-export lazily), and
 none of the fault gates (``repro.harness`` does not import
 ``repro.harness.gates``), so a workload's setup pays for neither."""
 
@@ -41,8 +41,7 @@ def test_runtime_imports_load_no_linter_and_no_trace_tooling():
     assert "repro.analysis.invariants" in loaded  # the runtime's sanitizer hook
     assert "repro.trace.events" in loaded  # the runtime's event bus
     for heavy in (
-        "repro.analysis.engine",
-        "repro.analysis.rules",
+        "repro.analysis.causal",
         "repro.analysis.sanitizer",
         "repro.trace.export",
         "repro.trace.profiler",

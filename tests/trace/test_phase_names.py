@@ -12,8 +12,8 @@ import json
 from pathlib import Path
 
 import repro
+from repro.analysis.causal.model import dotted_name
 from repro.analysis.causal.phases import _phase_emission
-from repro.analysis.rules import dotted_name
 from repro.trace.events import ANNOUNCED, EVENT_KINDS
 from repro.trace.timeline import PHASE_ORDER
 
